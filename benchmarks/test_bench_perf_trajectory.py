@@ -69,12 +69,10 @@ def test_parallel_probes_record_speedup_gate(suite):
 
 
 def test_sharded_fleet_parity_gates(suite):
-    """The sharded probe's parity gates: jobs=N vs the serial oracle,
-    and one shard vs the single-process engine — asserted before any
-    timing, on every host."""
+    """The sharded probe's parity gate, jobs=N vs the serial oracle,
+    is asserted before any timing, on every host."""
     shard = suite["benchmarks"]["fleet_shard"]
     assert shard["identical_to_serial"]
-    assert shard["identical_to_single_process"]
     assert shard["points"]  # the scale lane actually ran
 
 

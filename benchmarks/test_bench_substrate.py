@@ -97,7 +97,7 @@ def test_bench_platform_release_lifecycle(benchmark):
         )
         system = build_system("bench-sys", vulnerability_count=3, rng=random.Random(2))
         platform.announce_release("provider-1", system)
-        platform.run_for(900.0)
+        platform.advance_for(900.0)
         platform.finish_pending()
         return platform
 

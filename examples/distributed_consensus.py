@@ -11,9 +11,9 @@ whole SmartCrowd platform."
 
 from repro.chain.block import ChainRecord, RecordKind
 from repro.chain.pow import PAPER_HASHPOWER_SHARES
-from repro.core import DistributedChain
 from repro.crypto.hashing import hash_fields
 from repro.network.latency import LogNormalLatency
+from repro.shard import FleetSpec, ShardedSimulator
 
 
 def record_check(record: ChainRecord) -> bool:
@@ -22,7 +22,8 @@ def record_check(record: ChainRecord) -> bool:
 
 
 def main() -> None:
-    net = DistributedChain(
+    net = ShardedSimulator(
+        FleetSpec(full_nodes=len(PAPER_HASHPOWER_SHARES)),
         PAPER_HASHPOWER_SHARES,
         record_check=record_check,
         byzantine={"provider-5"},  # 10.1% of hashpower is compromised

@@ -22,8 +22,8 @@ Subpackages
 ``repro.experiments`` one runner per paper table/figure
 ``repro.query``       consumer read path: materialized indices, snapshot
                       caching, batched query serving
-``repro.shard``       sharded fleet simulation: FleetSpec, barrier-
-                      synchronized worker processes, bit-parity contract
+``repro.shard``       the replica-fleet engine: FleetSpec, serial or
+                      barrier-synchronized sharded workers, bit parity
 
 Quickstart
 ----------

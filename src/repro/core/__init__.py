@@ -11,7 +11,7 @@ from repro.core.consumer import (
     ProviderTrackRecord,
     SecurityReference,
 )
-from repro.core.distributed import DistributedChain, ReplicaNode
+from repro.core.distributed import ReplicaNode
 from repro.core.lightclient import (
     HeaderChain,
     LightClient,
@@ -62,7 +62,6 @@ __all__ = [
     "DetailedReport",
     "DetectorStakeholder",
     "DetectorStats",
-    "DistributedChain",
     "HeaderChain",
     "IdentityRegistry",
     "IncentiveParameters",

@@ -2,8 +2,10 @@
 
 The economics experiments use a logical shared chain (honest majority,
 no partitions ⇒ all replicas converge, see
-:mod:`repro.chain.consensus`).  This module implements the replication
-itself: every provider is a :class:`ReplicaNode` holding its *own*
+:mod:`repro.chain.consensus`).  This module implements the replica
+nodes themselves (the fleet engine that drives them is
+:class:`repro.shard.ShardedSimulator`): every provider is a
+:class:`ReplicaNode` holding its *own*
 :class:`~repro.chain.chain.Blockchain` copy, mining on its own head,
 validating every received block (structure + semantic record hook),
 buffering out-of-order arrivals, and reorging when a heavier branch
@@ -15,42 +17,29 @@ partitions, byzantine miners, and fork races.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Set
+from typing import Callable, Dict, List, Optional
 
 from repro.chain.block import Block, BlockHeader, ChainRecord
 from repro.chain.chain import Blockchain, ChainError
-from repro.chain.consensus import make_genesis
-from repro.chain.pow import MiningModel
 from repro.chain.validation import BlockValidator
 from repro.core.lightclient import HeaderChain
 from repro.crypto.keys import KeyPair
-from repro.network.config import NetworkConfig
-from repro.network.gossip import GossipNetwork, build_topology
-from repro.network.latency import DEFAULT_LATENCY, LatencyModel
 from repro.network.messages import Message, MessageKind
 from repro.network.node import Node
-from repro.network.simulator import Simulator
 from repro.store import ChainStore, HeaderStore
 
-__all__ = ["DistributedChain", "LightReplicaNode", "ReplicaNode"]
+__all__ = ["LightReplicaNode", "ReplicaNode"]
 
 #: Semantic record check a replica applies before accepting a block.
 RecordCheck = Callable[[ChainRecord], bool]
-
-#: Sentinel distinguishing "kwarg not passed" from an explicit value, so
-#: the legacy fleet-shape kwargs can warn only when actually used.
-_UNSET = object()
 
 
 def _interleave(full_names: List[str], light_names: List[str]) -> List[str]:
     """Ring order for the fleet: light nodes spread between full nodes.
 
     Keeps ring-based topologies from forming long light-only arcs, and
-    is deterministic (no rng draw) so adding ``light_count=0`` changes
-    nothing for existing deployments.
+    is deterministic (no rng draw), so a fleet without light replicas
+    keeps its full nodes in fleet order.
     """
     if not light_names:
         return list(full_names)
@@ -66,87 +55,6 @@ def _interleave(full_names: List[str], light_names: List[str]) -> List[str]:
         cursor += len(take)
     merged.extend(light_names[cursor:])
     return merged
-
-
-def _resolve_fleet_shape(
-    engine: str,
-    spec,
-    shares: Optional[Mapping[str, float]],
-    topology_kind,
-    network,
-    light_count,
-    store_dir,
-    store_snapshot_interval,
-):
-    """Reconcile ``spec=`` with the legacy per-kwarg fleet shape.
-
-    Exactly one spelling may describe the fleet: a
-    :class:`~repro.shard.spec.FleetSpec` (the canonical one, shared with
-    the sharded engine) or the historical kwargs, which now warn once
-    per process via :mod:`repro.compat`.  Returns the resolved
-    ``(shares, config, light_count, store_dir, snapshot_interval)``.
-    """
-    from repro.compat import warn_deprecated
-    from repro.shard.spec import FleetSpec
-
-    legacy = {
-        "topology_kind": topology_kind,
-        "network": network,
-        "light_count": light_count,
-        "store_dir": store_dir,
-        "store_snapshot_interval": store_snapshot_interval,
-    }
-    passed = [name for name, value in legacy.items() if value is not _UNSET]
-    if spec is not None:
-        if not isinstance(spec, FleetSpec):
-            raise TypeError(
-                f"spec must be a FleetSpec, got {type(spec).__name__}"
-            )
-        if passed:
-            raise ValueError(
-                f"{engine} got both spec= and legacy fleet kwargs "
-                f"({', '.join(passed)}); describe the fleet once"
-            )
-        if spec.shards != 1:
-            raise ValueError(
-                f"{engine} is single-process; run spec.shards={spec.shards} "
-                "through repro.shard.ShardedSimulator, or pass "
-                "spec.unsharded()"
-            )
-        if shares is None:
-            shares = spec.equal_shares()
-        elif set(shares) != set(spec.full_names()):
-            raise ValueError(
-                "shares must cover exactly spec.full_names() "
-                f"({spec.full_nodes} providers)"
-            )
-        return (
-            shares,
-            spec.network,
-            spec.light_nodes,
-            spec.store_dir,
-            spec.store_snapshot_interval,
-        )
-    if shares is None:
-        raise TypeError(f"{engine} needs shares= or spec=")
-    for name in passed:
-        warn_deprecated(
-            f"{engine}({name}=)",
-            f"{engine}(spec=FleetSpec(...))",
-            extra="FleetSpec carries the whole fleet shape in one object.",
-        )
-    if network is not _UNSET and network is not None:
-        config = network
-    else:
-        kind = topology_kind if topology_kind is not _UNSET else "complete"
-        config = NetworkConfig(topology=kind)
-    return (
-        shares,
-        config,
-        light_count if light_count is not _UNSET else 0,
-        store_dir if store_dir is not _UNSET else None,
-        store_snapshot_interval if store_snapshot_interval is not _UNSET else 512,
-    )
 
 
 class ReplicaNode(Node):
@@ -475,269 +383,3 @@ class LightReplicaNode(Node):
         tip = self.headers.tip
         assert tip is not None  # genesis is accepted in __init__
         return tip.header_hash()
-
-
-@dataclass
-class _PendingRecords:
-    """Records a byzantine miner wants to sneak into its blocks."""
-
-    records: List[ChainRecord]
-
-
-class DistributedChain:
-    """A network of chain replicas driven by the PoW competition.
-
-    Each sampled mining round: the simulator advances by the block
-    interval (delivering in-flight gossip), the winner assembles a
-    block on *its own* head, and broadcasts it.  Byzantine winners
-    inject their queued records regardless of validity; honest replicas
-    with a semantic record check reject such blocks and keep mining the
-    clean branch.
-    """
-
-    def __init__(
-        self,
-        shares: Optional[Mapping[str, float]] = None,
-        record_check: Optional[RecordCheck] = None,
-        byzantine: Optional[Set[str]] = None,
-        difficulty: int = 1000,
-        mean_block_time: float = 15.35,
-        topology_kind: str = _UNSET,  # deprecated: pass spec=
-        latency: LatencyModel = DEFAULT_LATENCY,
-        confirmation_depth: int = 6,
-        seed: int = 0,
-        network: Optional[NetworkConfig] = _UNSET,  # deprecated: pass spec=
-        light_count: int = _UNSET,  # deprecated: pass spec=
-        store_dir: Optional[str] = _UNSET,  # deprecated: pass spec=
-        store_snapshot_interval: int = _UNSET,  # deprecated: pass spec=
-        spec: Optional["FleetSpec"] = None,
-    ) -> None:
-        shares, config, light_count, store_dir, store_snapshot_interval = (
-            _resolve_fleet_shape(
-                "DistributedChain", spec, shares, topology_kind, network,
-                light_count, store_dir, store_snapshot_interval,
-            )
-        )
-        #: The :class:`~repro.shard.spec.FleetSpec` this fleet was built
-        #: from, when one was given (legacy kwarg construction leaves it
-        #: None — those shapes may use arbitrary provider names).
-        self.spec = spec
-        rng = random.Random(seed)
-        self.simulator = Simulator()
-        names = list(shares)
-        light_names = [f"light-{i}" for i in range(light_count)]
-        self.network = GossipNetwork(
-            self.simulator,
-            build_topology(
-                _interleave(names, light_names),
-                config.topology,
-                degree=config.degree,
-                rng=random.Random(rng.randrange(2**31)),
-            ),
-            latency=latency,
-            rng=random.Random(rng.randrange(2**31)),
-            config=config,
-        )
-        genesis = make_genesis(difficulty=difficulty)
-        self.byzantine = set(byzantine or ())
-        #: With ``store_dir`` set, every replica persists to its own
-        #: subdirectory and restarts recover from disk.  Persistence
-        #: draws no randomness and schedules no events, so the fleet's
-        #: trajectory is bit-identical with or without it.
-        self.store_dir = Path(store_dir) if store_dir is not None else None
-        self.replicas: Dict[str, ReplicaNode] = {}
-        for name in names:
-            # Byzantine replicas skip the semantic check on their own
-            # copy (they will happily build on forged records).
-            check = None if name in self.byzantine else record_check
-            store = (
-                ChainStore(
-                    self.store_dir / name,
-                    snapshot_interval=store_snapshot_interval,
-                )
-                if self.store_dir is not None
-                else None
-            )
-            replica = ReplicaNode(
-                name, genesis, record_check=check,
-                confirmation_depth=confirmation_depth,
-                store=store,
-            )
-            self.replicas[name] = replica
-            self.network.attach(replica)
-        self.light_replicas: Dict[str, LightReplicaNode] = {}
-        for name in light_names:
-            header_store = (
-                HeaderStore(self.store_dir / name)
-                if self.store_dir is not None
-                else None
-            )
-            light = LightReplicaNode(name, genesis, store=header_store)
-            light.set_servers(list(self.replicas.values()))
-            self.light_replicas[name] = light
-            self.network.attach(light)
-        self.model = MiningModel.from_shares(
-            shares, difficulty=difficulty, mean_block_time=mean_block_time,
-            rng=random.Random(rng.randrange(2**31)),
-        )
-        self._difficulty = difficulty
-        self._byzantine_queue: Dict[str, _PendingRecords] = {
-            name: _PendingRecords([]) for name in self.byzantine
-        }
-        self._honest_mempool: List[ChainRecord] = []
-        self.blocks_mined = 0
-
-    # -- record feeds -------------------------------------------------------
-
-    def submit_record(self, record: ChainRecord) -> None:
-        """Queue an honest record for inclusion by the next honest miner."""
-        self._honest_mempool.append(record)
-
-    def inject_byzantine_record(self, miner: str, record: ChainRecord) -> None:
-        """Queue a (typically invalid) record for a byzantine miner."""
-        if miner not in self.byzantine:
-            raise ValueError(f"{miner} is not byzantine")
-        self._byzantine_queue[miner].records.append(record)
-
-    # -- drive ---------------------------------------------------------------
-
-    def crash(self, name: str) -> None:
-        """Crash a replica: it stops receiving blocks and cannot mine."""
-        self.replicas[name].crash()
-
-    def restart(self, name: str) -> None:
-        """Restart a replica; it resyncs its chain from reachable peers."""
-        self.replicas[name].restart()
-
-    def step(self) -> Optional[Block]:
-        """One mining round: advance time, mine on the winner's head.
-
-        Returns None when the sampled winner is crashed — its hashpower
-        is offline, so that round produces no block (time still
-        advances and in-flight gossip still settles).
-        """
-        outcome = self.model.next_block()
-        self.simulator.advance_until(self.simulator.now + outcome.interval)
-        winner = self.replicas[outcome.winner]
-        if winner.crashed:
-            return None
-        if outcome.winner in self.byzantine:
-            queued = self._byzantine_queue[outcome.winner]
-            records = tuple(queued.records)
-            queued.records = []
-        else:
-            records = tuple(self._honest_mempool)
-            self._honest_mempool = []
-        block = winner.assemble_block(
-            timestamp=self.simulator.now, records=records,
-            difficulty=self._difficulty,
-        )
-        winner.receive_block(block)
-        winner.broadcast(MessageKind.BLOCK_ANNOUNCE, block)
-        self.blocks_mined += 1
-        return block
-
-    def run_blocks(self, count: int) -> List[Optional[Block]]:
-        """Mine ``count`` rounds (entries are None for crashed winners)."""
-        return [self.step() for _ in range(count)]
-
-    def settle(self) -> None:
-        """Deliver all in-flight gossip."""
-        self.simulator.advance()
-
-    # -- inspection ------------------------------------------------------------
-
-    def heads(self) -> Dict[str, bytes]:
-        """Each replica's canonical head id."""
-        return {name: replica.head_id() for name, replica in self.replicas.items()}
-
-    def converged(self, among: Optional[Set[str]] = None) -> bool:
-        """True if (the given) replicas agree on the canonical head."""
-        names = among if among is not None else set(self.replicas)
-        head_ids = {self.replicas[name].head_id() for name in names}
-        return len(head_ids) == 1
-
-    def light_heads(self) -> Dict[str, bytes]:
-        """Each light client's best header id."""
-        return {name: light.tip_id() for name, light in self.light_replicas.items()}
-
-    def light_converged(self) -> bool:
-        """True if all light clients agree with the heaviest full head."""
-        if not self.light_replicas:
-            return True
-        tips = {light.tip_id() for light in self.light_replicas.values()}
-        if len(tips) != 1:
-            return False
-        heaviest = self._heaviest_replica()
-        return heaviest is None or tips == {heaviest.head_id()}
-
-    def query_service(self, name: str, **kwargs):
-        """A :class:`~repro.query.service.QueryService` over one replica.
-
-        ``name`` may be a full replica (whole query surface, index
-        persisted into its durable store when it has one) or a light
-        replica (header-backed subset).  The staleness reference
-        defaults to the fleet's heaviest alive replica, so responses
-        report how far this node lags the canonical chain — e.g. mid
-        resync after a restart — and the batch scheduler defaults to
-        the fleet simulator.
-        """
-        from repro.query.service import QueryService  # noqa: PLC0415 - cycle
-
-        if name in self.replicas:
-            node = self.replicas[name]
-        elif name in self.light_replicas:
-            node = self.light_replicas[name]
-        else:
-            raise KeyError(f"{name!r} names no replica in this fleet")
-        kwargs.setdefault("canonical", self._heaviest_replica)
-        kwargs.setdefault("simulator", self.simulator)
-        return QueryService.connect_node(node, **kwargs)
-
-    def _heaviest_replica(self) -> Optional[ReplicaNode]:
-        """The alive replica with the heaviest chain (name-ordered ties)."""
-        best: Optional[ReplicaNode] = None
-        for name in sorted(self.replicas):
-            replica = self.replicas[name]
-            if replica.crashed:
-                continue
-            if (
-                best is None
-                or replica.chain.total_difficulty() > best.chain.total_difficulty()
-            ):
-                best = replica
-        return best
-
-    def finalize(self) -> None:
-        """Settle gossip, then close residual gaps by direct resync.
-
-        Bounded-fanout relays do not guarantee every broadcast reaches
-        every node; convergence is restored the way real networks do it
-        — each straggler pulls the heaviest chain from a peer.  After
-        full nodes agree, light clients resync their header chains.
-        """
-        self.settle()
-        heaviest = self._heaviest_replica()
-        if heaviest is None:
-            return
-        for name in sorted(self.replicas):
-            replica = self.replicas[name]
-            if replica is heaviest or replica.crashed:
-                continue
-            if replica.head_id() != heaviest.head_id():
-                replica.resync_from(heaviest)
-        for name in sorted(self.light_replicas):
-            light = self.light_replicas[name]
-            if not light.crashed:
-                light.resync()
-
-    def honest_names(self) -> Set[str]:
-        """Replicas not marked byzantine."""
-        return set(self.replicas) - self.byzantine
-
-    def record_on_honest_chains(self, record_id: bytes) -> bool:
-        """True if any honest replica has the record on its canonical chain."""
-        return any(
-            self.replicas[name].chain.locate_record(record_id) is not None
-            for name in self.honest_names()
-        )

@@ -33,7 +33,6 @@ import random
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
-from repro.compat import warn_deprecated
 from repro.chain.block import Block, ChainRecord, RecordKind
 from repro.chain.mempool import Mempool
 from repro.chain.pow import MiningModel
@@ -67,64 +66,30 @@ __all__ = [
     "DecentralizedDeployment",
 ]
 
-#: Sentinel distinguishing "kwarg not passed" from an explicit value, so
-#: the legacy persistence kwargs can warn only when actually used.
-_UNSET = object()
-
-
-def _resolve_deployment_shape(spec, store_dir, store_snapshot_interval):
-    """Reconcile ``spec=`` with the legacy persistence kwargs.
+def _check_deployment_spec(spec) -> None:
+    """Reject fleet shapes the stakeholder workflow does not model.
 
     The deployment's fleet shape is fixed by ``provider_shares`` /
     ``detectors`` / ``consumers`` (named stakeholders on a complete
     overlay), so a :class:`~repro.shard.spec.FleetSpec` contributes only
     its persistence knobs here — and must not ask for light replicas or
-    sharding, which the stakeholder workflow does not model.
+    sharding.
     """
     from repro.shard.spec import FleetSpec
 
-    passed = [
-        name
-        for name, value in (
-            ("store_dir", store_dir),
-            ("store_snapshot_interval", store_snapshot_interval),
+    if not isinstance(spec, FleetSpec):
+        raise TypeError(f"spec must be a FleetSpec, got {type(spec).__name__}")
+    if spec.light_nodes:
+        raise ValueError(
+            "DecentralizedDeployment has no light replicas; use "
+            f"ShardedSimulator for spec.light_nodes={spec.light_nodes}"
         )
-        if value is not _UNSET
-    ]
-    if spec is not None:
-        if not isinstance(spec, FleetSpec):
-            raise TypeError(
-                f"spec must be a FleetSpec, got {type(spec).__name__}"
-            )
-        if passed:
-            raise ValueError(
-                "DecentralizedDeployment got both spec= and legacy "
-                f"persistence kwargs ({', '.join(passed)}); describe the "
-                "fleet once"
-            )
-        if spec.light_nodes:
-            raise ValueError(
-                "DecentralizedDeployment has no light replicas; use "
-                "DistributedChain or ShardedSimulator for "
-                f"spec.light_nodes={spec.light_nodes}"
-            )
-        if spec.shards != 1:
-            raise ValueError(
-                "DecentralizedDeployment is single-process; run "
-                f"spec.shards={spec.shards} through "
-                "repro.shard.ShardedSimulator, or pass spec.unsharded()"
-            )
-        return spec.store_dir, spec.store_snapshot_interval
-    for name in passed:
-        warn_deprecated(
-            f"DecentralizedDeployment({name}=)",
-            "DecentralizedDeployment(spec=FleetSpec(...))",
-            extra="FleetSpec carries the whole fleet shape in one object.",
+    if spec.shards != 1:
+        raise ValueError(
+            "DecentralizedDeployment is single-process; run "
+            f"spec.shards={spec.shards} through "
+            "repro.shard.ShardedSimulator, or pass spec.unsharded()"
         )
-    return (
-        store_dir if store_dir is not _UNSET else None,
-        store_snapshot_interval if store_snapshot_interval is not _UNSET else 512,
-    )
 
 
 class SystemDirectory:
@@ -556,13 +521,10 @@ class DecentralizedDeployment:
         seed: int = 0,
         retry_policy=None,
         telemetry: Optional[Telemetry] = None,
-        store_dir=_UNSET,  # deprecated: pass spec=
-        store_snapshot_interval: int = _UNSET,  # deprecated: pass spec=
         spec=None,
     ) -> None:
-        store_dir, store_snapshot_interval = _resolve_deployment_shape(
-            spec, store_dir, store_snapshot_interval,
-        )
+        if spec is not None:
+            _check_deployment_spec(spec)
         self.spec = spec
         rng = random.Random(seed)
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
@@ -595,8 +557,9 @@ class DecentralizedDeployment:
         self._authority = KeyPair.from_seed(f"dd-authority:{seed}".encode())
         self.runtime.state.mint(self._authority.address, to_wei(1_000_000))
 
-        #: With ``store_dir`` set, every provider persists its replica
-        #: to ``store_dir/<name>`` and restarts recover from disk.
+        #: With ``spec.store_dir`` set, every provider persists its
+        #: replica to ``store_dir/<name>`` and restarts recover from disk.
+        store_dir = spec.store_dir if spec is not None else None
         self.store_dir = Path(store_dir) if store_dir is not None else None
         self.providers: Dict[str, ProviderStakeholder] = {}
         for name in provider_shares:
@@ -605,7 +568,7 @@ class DecentralizedDeployment:
             store = (
                 ChainStore(
                     self.store_dir / name,
-                    snapshot_interval=store_snapshot_interval,
+                    snapshot_interval=spec.store_snapshot_interval,
                     telemetry=self.telemetry,
                 )
                 if self.store_dir is not None
@@ -729,13 +692,6 @@ class DecentralizedDeployment:
                     records=len(block.records),
                 )
             self._fire_confirmations()
-
-    def run_for(self, duration: float) -> int:
-        """Deprecated spelling of :meth:`advance_for` (warns once)."""
-        warn_deprecated(
-            "DecentralizedDeployment.run_for", "DecentralizedDeployment.advance_for"
-        )
-        return self.advance_for(duration)
 
     def _fire_confirmations(self) -> None:
         """Trigger contracts for records the observer sees as confirmed."""

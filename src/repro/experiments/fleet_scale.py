@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple, Union
 
 from repro.chain.serialization import import_chain
-from repro.core.distributed import DistributedChain
 from repro.experiments.harness import ResultTable
 from repro.experiments.runner import (
     SweepCheckpoint,
@@ -48,8 +47,8 @@ __all__ = ["FleetScaleResult", "fleet_split", "run_fleet_scale"]
 DEFAULT_NODE_COUNTS = (50, 200, 1000)
 
 #: The sharded lane's (node count, shard count) points: past ~1000
-#: nodes one event loop is the bottleneck, so the 10k/100k points run
-#: through :class:`~repro.shard.engine.ShardedSimulator` instead.
+#: nodes one event loop is the bottleneck, so the 10k/100k points split
+#: the fleet over that many shards instead.
 #: Empty by default — the bench lane opts in (they dominate wall-clock).
 DEFAULT_SHARD_POINTS: Tuple[Tuple[int, int], ...] = ()
 
@@ -83,13 +82,10 @@ def _fleet_trial(args: Tuple[int, int, str, int, int]) -> Dict[str, float]:
         network=config,
         shards=shards if mode == "shard" else 1,
     )
-    if mode == "shard":
-        # ``jobs=1`` inside the trial: run_trials already fans trials
-        # out over processes, and the serial executor is the parity
-        # oracle — identical bits at any outer ``jobs``.
-        net = ShardedSimulator(spec, seed=trial_seed, jobs=1)
-    else:
-        net = DistributedChain(spec=spec, seed=trial_seed)
+    # ``jobs=1`` inside the trial: run_trials already fans trials out
+    # over processes, and the serial executor is the parity oracle —
+    # identical bits at any outer ``jobs``.
+    net = ShardedSimulator(spec, seed=trial_seed, jobs=1)
     net.run_blocks(blocks)
     net.finalize()
     # A fork race on the last block can leave two equal-difficulty
@@ -101,15 +97,8 @@ def _fleet_trial(args: Tuple[int, int, str, int, int]) -> Dict[str, float]:
         net.run_blocks(1)
         net.finalize()
         extra += 1
-    if mode == "shard":
-        summary = net.summary()
-        canonical_height = import_chain(net.export_canonical()).height
-    else:
-        summary = net.network.summary()
-        canonical_height = max(
-            (replica.chain for replica in net.replicas.values()),
-            key=lambda chain: chain.total_difficulty(),
-        ).height
+    summary = net.summary()
+    canonical_height = import_chain(net.export_canonical()).height
     return {
         "nodes": node_count,
         "full_nodes": full_count,

@@ -2,7 +2,7 @@
 
 The paper adopts Bitcoin's 6-block confirmation (§V-C) without
 analysis.  This experiment supplies it: running real replicated mining
-(:class:`~repro.core.distributed.DistributedChain`) at increasing
+(:class:`~repro.shard.engine.ShardedSimulator`) at increasing
 propagation-delay/block-time ratios and measuring the natural orphan
 rate — the fraction of mined blocks that end up off the final canonical
 chain.  At the paper's operating point (LAN delays ≪ 15.35 s blocks)
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.chain.pow import PAPER_HASHPOWER_SHARES
-from repro.core.distributed import DistributedChain
 from repro.experiments.harness import ResultTable
 from repro.experiments.runner import (
     SweepCheckpoint,
@@ -25,6 +24,7 @@ from repro.experiments.runner import (
     sweep_checkpoint,
 )
 from repro.network.latency import ConstantLatency
+from repro.shard import FleetSpec, ShardedSimulator
 
 __all__ = ["ForkRateResult", "run_fork_rate"]
 
@@ -72,7 +72,8 @@ def _fork_rate_trial(args: Tuple[int, float, int, float]) -> List[float]:
     rate is clamped to [0, 1].
     """
     trial_seed, ratio, blocks, block_time = args
-    net = DistributedChain(
+    net = ShardedSimulator(
+        FleetSpec(full_nodes=len(PAPER_HASHPOWER_SHARES)),
         PAPER_HASHPOWER_SHARES,
         mean_block_time=block_time,
         latency=ConstantLatency(ratio * block_time),

@@ -26,7 +26,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.chain.ledger import LedgerStateMachine
 from repro.chain.pow import PAPER_HASHPOWER_SHARES
-from repro.core.distributed import DistributedChain
 from repro.core.stakeholders import DecentralizedDeployment
 from repro.detection import build_detector_fleet, build_system
 from repro.faults.injector import FaultInjector
@@ -441,7 +440,7 @@ def run_disk_fault_gauntlet(
 ) -> DiskGauntletResult:
     """One store-backed crash/corrupt/recover run; deterministic in ``seed``.
 
-    A five-replica :class:`~repro.core.distributed.DistributedChain`
+    A five-replica serial :class:`~repro.shard.engine.ShardedSimulator`
     persists every replica to disk.  The plan crashes one victim, hits
     its (now process-less) store with the requested disk fault, and
     restarts it; while the victim is down an fsck probe must *detect*
@@ -453,6 +452,8 @@ def run_disk_fault_gauntlet(
     ``store_dir`` defaults to a fresh temp directory removed before
     returning; pass a path to keep the stores for inspection.
     """
+    from repro.shard import FleetSpec, ShardedSimulator  # noqa: PLC0415 - cycle
+
     if scenario not in DISK_SCENARIOS:
         raise ValueError(
             f"unknown disk scenario {scenario!r}; pick one of {DISK_SCENARIOS}"
@@ -465,12 +466,15 @@ def run_disk_fault_gauntlet(
     )
     try:
         shares = {f"provider-{i}": 0.2 for i in range(1, 6)}
-        fleet = DistributedChain(
+        fleet = ShardedSimulator(
+            FleetSpec(
+                full_nodes=len(shares),
+                store_dir=str(root),
+                store_snapshot_interval=snapshot_interval,
+            ),
             shares,
             mean_block_time=5.0,
             seed=seed,
-            store_dir=str(root),
-            store_snapshot_interval=snapshot_interval,
         )
         names = sorted(shares)
         victim = names[seed % len(names)]
@@ -501,7 +505,7 @@ def run_disk_fault_gauntlet(
 
         fleet.simulator.schedule_at(200.0, _probe_down_store)
 
-        while fleet.simulator.now < 420.0:
+        while fleet.now < 420.0:
             fleet.step()
         fleet.finalize()
 
@@ -512,7 +516,7 @@ def run_disk_fault_gauntlet(
             replay.state.snapshot() == state.snapshot()
             and replay.nonces == nonces
         )
-        return DiskGauntletResult(
+        result = DiskGauntletResult(
             seed=seed,
             scenario=scenario,
             victim=victim,
@@ -531,6 +535,8 @@ def run_disk_fault_gauntlet(
             fsck_clean_after=fsck(victim_node.store.path).ok,
             converged=fleet.converged(),
         )
+        fleet.close()
+        return result
     finally:
         if cleanup:
             shutil.rmtree(root, ignore_errors=True)

@@ -1,15 +1,14 @@
-"""Sharded fleet simulation: one spec, many worker processes, same bits.
+"""The replica-fleet engine: one spec, one or many shards, same bits.
 
-``repro.shard`` scales the fleet plane past the single-process event
-loop: a :class:`FleetSpec` describes the fleet once, a
-:class:`ShardPlan` partitions it (topology-aware slices or consistent
-hashing), and :class:`ShardedSimulator` runs each shard's simulator
-independently between deterministic epoch barriers, exchanging
-cross-shard inv/getdata/payload traffic as length-prefixed frames
-(:mod:`repro.shard.frames`).  ``jobs=1`` is the always-live parity
-oracle: parallel runs are seed-for-seed bit-identical to it, and a
-one-shard fleet is bit-identical to
-:class:`~repro.core.distributed.DistributedChain`.
+``repro.shard`` runs every replica fleet: a :class:`FleetSpec`
+describes the fleet once, a :class:`ShardPlan` partitions it
+(topology-aware slices or consistent hashing), and
+:class:`ShardedSimulator` runs each shard's simulator independently
+between deterministic epoch barriers, exchanging cross-shard
+inv/getdata/payload traffic as length-prefixed frames
+(:mod:`repro.shard.frames`).  A serial fleet is ``spec.shards == 1``:
+one event loop, no barriers.  ``jobs=1`` is the always-live parity
+oracle: parallel runs are seed-for-seed bit-identical to it.
 """
 
 from repro.shard.engine import ShardGateway, ShardState, ShardedSimulator

@@ -1,4 +1,4 @@
-"""The sharded fleet engine: partitioned simulation, bit-identical results.
+"""The fleet engine: every replica fleet, sharded or serial, one simulator.
 
 :class:`ShardedSimulator` runs a :class:`~repro.shard.spec.FleetSpec`
 fleet partitioned over shards (:mod:`repro.shard.plan`), each shard a
@@ -9,9 +9,14 @@ Shards advance in lock-step *epochs*: all shards run to the same
 deadline, then cross-shard inv/getdata/payload traffic — flattened to
 length-prefixed frames (:mod:`repro.shard.frames`) — is exchanged at
 the barrier and scheduled into its destination shard.  The control
-plane (PoW winner sampling, the honest mempool, crash/restart and disk
-faults, scheduled callbacks) stays on the coordinator, exactly where
-:class:`~repro.core.distributed.DistributedChain` keeps it.
+plane (PoW winner sampling, the record queues, scheduled callbacks)
+stays on the coordinator; crash state lives only on the nodes.
+
+A serial fleet is ``spec.shards == 1``: one shard with no gateway and
+no barriers, so the engine is a single event loop driving the replicas
+on live objects, and it exposes the in-process views experiments and
+tests read directly (``replicas``, ``light_replicas``, ``simulator``,
+``network``, ``query_service``).
 
 Determinism contract, in decreasing strength:
 
@@ -22,36 +27,45 @@ Determinism contract, in decreasing strength:
    the serial path runs and the serial path round-trips every boundary
    frame through the same wire codec.  The ``jobs=1`` run is the
    *parity oracle* the test suite holds every parallel run against.
-2. A one-shard fleet is bit-identical to the unsharded engine:
-   ``ShardedSimulator(spec.unsharded())`` reproduces
-   ``DistributedChain`` draw-for-draw (same rng consumption order,
-   same construction order, same mining loop).
-3. The shard *count* is part of the experiment configuration, like the
+2. The shard *count* is part of the experiment configuration, like the
    topology: runs with different shard counts are each internally
    deterministic but not bit-identical to each other, because barrier
    batching quantizes cross-shard arrival times.
 
-Worker processes are persistent (one round-trip per epoch, not per
-event) and rebuild their shards from a small picklable blueprint — no
-topology graphs or node objects ever cross the process boundary, only
-command tuples and frame bytes.
+Worker processes are persistent and rebuild their shards from a small
+picklable blueprint — no topology graphs or node objects ever cross the
+process boundary.  Both executors speak one protocol: a batch of
+``(op, shard, args)`` commands, each calling one :class:`ShardState`
+method, costing one pipe round trip per worker the batch touches.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import multiprocessing
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.chain.block import Block, ChainRecord
 from repro.chain.chain import Blockchain
 from repro.chain.consensus import make_genesis
 from repro.chain.pow import MiningModel
-from repro.chain.serialization import decode_block, encode_block, export_chain, import_chain
+from repro.chain.serialization import export_chain, import_chain
 from repro.core.distributed import (
     LightReplicaNode,
     RecordCheck,
@@ -90,6 +104,10 @@ _STORE_FAULTS = ("torn_write", "bit_flip", "drop_snapshot", "drop_index")
 #: Dedup guarantees each content item crosses each link at most once,
 #: so real runs drain in a handful of rounds; this is a loud backstop.
 _MAX_SETTLE_ROUNDS = 100_000
+
+#: Fleet seconds between epoch barriers of a multi-shard fleet.  A
+#: one-shard fleet has no boundary traffic and runs barrier-free.
+_BARRIER_INTERVAL = 0.25
 
 
 class ShardGateway:
@@ -216,6 +234,7 @@ class _Blueprint:
     """
 
     spec: FleetSpec
+    full_names: Tuple[str, ...]
     assignments: Tuple[Tuple[str, ...], ...]
     topo_seed: int
     shard_seeds: Tuple[int, ...]
@@ -230,10 +249,9 @@ class _Blueprint:
 class ShardState:
     """One shard's complete world: simulator, overlay, replicas.
 
-    Construction mirrors :class:`~repro.core.distributed.
-    DistributedChain` exactly — full replicas first (fleet order), then
-    light replicas — so a one-shard fleet is the unsharded engine,
-    object for object and rng draw for rng draw.
+    Construction order is fixed — full replicas first (fleet order),
+    then light replicas — and every shard builds the same overlay from
+    the same seed, so a one-shard fleet is one plain event loop.
     """
 
     def __init__(self, blueprint: _Blueprint, index: int) -> None:
@@ -242,7 +260,7 @@ class ShardState:
         self.confirmation_depth = blueprint.confirmation_depth
         self.telemetry = Telemetry() if blueprint.telemetry_enabled else None
         self.simulator = Simulator(telemetry=self.telemetry)
-        ring_order = _interleave(spec.full_names(), spec.light_names())
+        ring_order = _interleave(list(blueprint.full_names), spec.light_names())
         config = spec.network
         # Every shard builds the same full overlay graph from the same
         # seed; edges whose far end lives elsewhere route through the
@@ -271,9 +289,8 @@ class ShardState:
         if plan.shards > 1:
             self.network.remote_gateway = self.gateway
         genesis = make_genesis(difficulty=blueprint.difficulty)
-        self._genesis = genesis
         store_dir = Path(spec.store_dir) if spec.store_dir is not None else None
-        full_set = frozenset(spec.full_names())
+        full_set = frozenset(blueprint.full_names)
         members = plan.members(index)
         self.replicas: Dict[str, ReplicaNode] = {}
         for name in (n for n in members if n in full_set):
@@ -316,8 +333,8 @@ class ShardState:
         """Drain the local queue completely (finalize's settle loop).
 
         Returns this shard's clock too, so the coordinator can advance
-        the fleet clock to the quiescence point, the way an unsharded
-        ``settle()`` leaves ``now`` at the last delivered event.
+        the fleet clock to the quiescence point, leaving ``now`` at the
+        last delivered event.
         """
         fired = self.simulator.advance()
         return fired, self.simulator.now, self.gateway.drain()
@@ -373,8 +390,12 @@ class ShardState:
 
     def mine(
         self, winner: str, records: Tuple[ChainRecord, ...], difficulty: int
-    ) -> Optional[bytes]:
-        """The sampled winner extends its own head and announces."""
+    ) -> Optional[Block]:
+        """The sampled winner extends its own head and announces.
+
+        Returns None, mining nothing, while the winner is crashed — its
+        hashpower is offline for the round.
+        """
         replica = self.replicas[winner]
         if replica.crashed:
             return None
@@ -383,24 +404,24 @@ class ShardState:
         )
         replica.receive_block(block)
         replica.broadcast(MessageKind.BLOCK_ANNOUNCE, block)
-        return encode_block(block)
+        return block
 
-    def _node(self, name: str):
+    def node(self, name: str):
+        """The full or light node this shard owns under ``name``."""
         node = self.replicas.get(name) or self.light_replicas.get(name)
         if node is None:
             raise KeyError(f"shard {self.index} does not own {name!r}")
         return node
 
     def crash(self, name: str) -> None:
-        self._node(name).crash()
+        self.node(name).crash()
 
     def restart(self, name: str) -> None:
-        self._node(name).restart()
+        self.node(name).restart()
 
     def store_fault(self, name: str, kind: str, params: Dict[str, Any]) -> None:
         """Corrupt a (crashed) member's durable store in place."""
-        node = self._node(name)
-        store = getattr(node, "store", None)
+        store = self.node(name).store
         if store is None:
             raise ValueError(f"{name!r} has no durable store attached")
         if kind == "torn_write":
@@ -419,10 +440,9 @@ class ShardState:
     def heaviest_candidate(self) -> Optional[Tuple[int, str, bytes]]:
         """(total difficulty, name, head id) of the best alive replica.
 
-        Name-sorted with strictly-heavier replacement — the same
-        tie-break :meth:`DistributedChain._heaviest_replica` applies, so
-        the coordinator's global pick over per-shard candidates matches
-        what the unsharded engine would have picked over the whole fleet.
+        Name-sorted with strictly-heavier replacement, so the
+        coordinator's pick over per-shard candidates (difficulty, then
+        name) is the pick one loop over the whole fleet would make.
         """
         best: Optional[ReplicaNode] = None
         for name in sorted(self.replicas):
@@ -442,17 +462,19 @@ class ShardState:
         """The named replica's canonical chain, serialized."""
         return export_chain(self.replicas[name].chain)
 
-    def adopt(self, chain_blob: bytes, winner: str) -> None:
+    def adopt(self, chain_blob: Optional[bytes], winner: str) -> None:
         """Close residual gaps against the fleet-wide heaviest chain.
 
-        Mirrors :meth:`DistributedChain.finalize`'s resync pass, with
-        the donor being the *imported* winner chain rather than a live
-        peer object — byte-identical content, so the walk, the adopted
-        blocks, and the resync counters all come out the same.
+        The donor is the live winner replica when this shard owns it,
+        else the winner's chain imported from ``chain_blob`` —
+        byte-identical content, so the walk, the adopted blocks, and the
+        resync counters come out the same either way.
         """
-        donor = _ChainDonor(
-            import_chain(chain_blob, confirmation_depth=self.confirmation_depth)
-        )
+        donor = self.replicas.get(winner)
+        if donor is None:
+            donor = _ChainDonor(
+                import_chain(chain_blob, confirmation_depth=self.confirmation_depth)
+            )
         winner_head = donor.chain.head.block_id
         for name in sorted(self.replicas):
             replica = self.replicas[name]
@@ -465,230 +487,97 @@ class ShardState:
             if not light.crashed:
                 light.resync()
 
-    # -- inspection --------------------------------------------------------
+    # -- inspection (picklable primitives) ---------------------------------
 
-    def snapshot(self, fields: Tuple[str, ...]) -> Dict[str, Any]:
-        """The requested views only, as picklable primitives.
+    def heads(self) -> Dict[str, bytes]:
+        return {name: replica.head_id() for name, replica in self.replicas.items()}
 
-        Field-selective because the views differ wildly in cost: heads
-        are one dict lookup per replica, ``chain_bytes`` serializes
-        every replica's confirmed chain — a 100k-node bench run must be
-        able to poll heads without paying for the latter.
-        """
-        result: Dict[str, Any] = {}
-        for field in fields:
-            if field == "heads":
-                result[field] = {
-                    name: replica.head_id()
-                    for name, replica in self.replicas.items()
-                }
-            elif field == "light_heads":
-                result[field] = {
-                    name: light.tip_id()
-                    for name, light in self.light_replicas.items()
-                }
-            elif field == "chain_bytes":
-                result[field] = {
-                    name: confirmed_chain_bytes(replica.chain)
-                    for name, replica in self.replicas.items()
-                }
-            elif field == "candidate":
-                result[field] = self.heaviest_candidate()
-            elif field == "summary":
-                result[field] = self.network.summary()
-            elif field == "counters":
-                counters: Dict[str, Dict[str, int]] = {}
-                for name, replica in self.replicas.items():
-                    counters[name] = {
-                        "blocks_accepted": replica.blocks_accepted,
-                        "blocks_rejected": replica.blocks_rejected,
-                        "resyncs_performed": replica.resyncs_performed,
-                        "blocks_resynced": replica.blocks_resynced,
-                        "crash_count": replica.crash_count,
-                        "restart_count": replica.restart_count,
-                        "store_recoveries": replica.store_recoveries,
-                    }
-                for name, light in self.light_replicas.items():
-                    counters[name] = {
-                        "headers_accepted": light.headers_accepted,
-                        "header_resyncs": light.header_resyncs,
-                        "crash_count": light.crash_count,
-                        "restart_count": light.restart_count,
-                        "store_recoveries": light.store_recoveries,
-                    }
-                result[field] = counters
-            else:
-                raise ValueError(f"unknown snapshot field {field!r}")
-        return result
+    def light_heads(self) -> Dict[str, bytes]:
+        return {name: light.tip_id() for name, light in self.light_replicas.items()}
+
+    def chain_bytes(self) -> Dict[str, bytes]:
+        return {
+            name: confirmed_chain_bytes(replica.chain)
+            for name, replica in self.replicas.items()
+        }
+
+    def summary(self) -> Dict[str, float]:
+        return self.network.summary()
+
+    def counters(self) -> Dict[str, Dict[str, int]]:
+        counters: Dict[str, Dict[str, int]] = {}
+        for name, replica in self.replicas.items():
+            counters[name] = {
+                "blocks_accepted": replica.blocks_accepted,
+                "blocks_rejected": replica.blocks_rejected,
+                "resyncs_performed": replica.resyncs_performed,
+                "blocks_resynced": replica.blocks_resynced,
+                "crash_count": replica.crash_count,
+                "restart_count": replica.restart_count,
+                "store_recoveries": replica.store_recoveries,
+            }
+        for name, light in self.light_replicas.items():
+            counters[name] = {
+                "headers_accepted": light.headers_accepted,
+                "header_resyncs": light.header_resyncs,
+                "crash_count": light.crash_count,
+                "restart_count": light.restart_count,
+                "store_recoveries": light.store_recoveries,
+            }
+        return counters
 
     def telemetry_payload(self) -> Optional[Dict[str, Any]]:
         return self.telemetry.snapshot_payload() if self.telemetry else None
 
     def close(self) -> None:
         for node in (*self.replicas.values(), *self.light_replicas.values()):
-            store = getattr(node, "store", None)
-            if store is not None:
-                close = getattr(store, "close", None)
-                if close is not None:
-                    close()
+            if node.store is not None:
+                node.store.close()
 
 
-def _build_states(blueprint: _Blueprint, owned: Tuple[int, ...]) -> Dict[int, ShardState]:
-    return {index: ShardState(blueprint, index) for index in owned}
+#: One executor command: ``(ShardState method name, shard index, args)``.
+_Command = Tuple[str, int, Tuple[Any, ...]]
 
 
-def _shard_worker(conn, blueprint: _Blueprint, owned: Tuple[int, ...]) -> None:
-    """Persistent worker: owns a set of shards, serves command tuples."""
-    states = _build_states(blueprint, owned)
-    try:
-        while True:
-            command = conn.recv()
-            op = command[0]
-            if op == "stop":
-                for state in states.values():
-                    state.close()
-                conn.send(("ok", None))
-                return
-            try:
-                if op == "epoch":
-                    _, target = command
-                    result = {
-                        index: states[index].run_epoch(target)
-                        for index in sorted(states)
-                    }
-                elif op == "settle":
-                    result = {
-                        index: states[index].settle_round()
-                        for index in sorted(states)
-                    }
-                elif op == "collect":
-                    _, fields = command
-                    result = {
-                        index: states[index].snapshot(fields)
-                        for index in sorted(states)
-                    }
-                elif op == "inject":
-                    _, barrier_time, per_shard = command
-                    for index in sorted(per_shard):
-                        states[index].inject(per_shard[index], barrier_time)
-                    result = None
-                elif op == "mine":
-                    _, index, winner, records, difficulty = command
-                    result = states[index].mine(winner, records, difficulty)
-                elif op == "crash":
-                    _, index, name = command
-                    states[index].crash(name)
-                    result = None
-                elif op == "restart":
-                    _, index, name = command
-                    states[index].restart(name)
-                    result = None
-                elif op == "store_fault":
-                    _, index, name, kind, params = command
-                    states[index].store_fault(name, kind, params)
-                    result = None
-                elif op == "export":
-                    _, index, name = command
-                    result = states[index].export_replica_chain(name)
-                elif op == "adopt":
-                    _, blob, winner = command
-                    for index in sorted(states):
-                        states[index].adopt(blob, winner)
-                    result = None
-                elif op == "telemetry":
-                    result = {
-                        index: states[index].telemetry_payload()
-                        for index in sorted(states)
-                    }
-                else:
-                    raise ValueError(f"unknown worker command {op!r}")
-                conn.send(("ok", result))
-            except Exception as exc:  # ship the failure, keep serving
-                conn.send(("error", f"{type(exc).__name__}: {exc}"))
-    except (EOFError, KeyboardInterrupt):
-        pass
+class _InProcess:
+    """Shards in this process: every shard for ``jobs=1`` (the parity
+    oracle, and the whole engine for a one-shard fleet), or one worker
+    process's share."""
 
+    def __init__(self, blueprint: _Blueprint, owned: Sequence[int]) -> None:
+        self.states = {index: ShardState(blueprint, index) for index in owned}
 
-class _SerialExecutor:
-    """All shards in this process — the parity oracle.
-
-    Frames still round-trip through the wire codec on every exchange, so
-    the serial run exercises the exact bytes a worker pipe would carry.
-    """
-
-    def __init__(self, blueprint: _Blueprint) -> None:
-        self.states = _build_states(
-            blueprint, tuple(range(blueprint.spec.shards))
-        )
-
-    def run_epoch(self, target: float) -> Tuple[int, Dict[int, Dict[int, bytes]]]:
-        fired = 0
-        outboxes: Dict[int, Dict[int, bytes]] = {}
-        for index in sorted(self.states):
-            count, frames = self.states[index].run_epoch(target)
-            fired += count
-            if frames:
-                outboxes[index] = frames
-        return fired, outboxes
-
-    def settle_round(self) -> Tuple[int, float, Dict[int, Dict[int, bytes]]]:
-        fired = 0
-        latest = 0.0
-        outboxes: Dict[int, Dict[int, bytes]] = {}
-        for index in sorted(self.states):
-            count, now, frames = self.states[index].settle_round()
-            fired += count
-            latest = max(latest, now)
-            if frames:
-                outboxes[index] = frames
-        return fired, latest, outboxes
-
-    def inject(self, routed: Dict[int, bytes], barrier_time: Optional[float]) -> None:
-        for index in sorted(routed):
-            self.states[index].inject(routed[index], barrier_time)
-
-    def mine(
-        self, index: int, winner: str, records: Tuple[ChainRecord, ...], difficulty: int
-    ) -> Optional[bytes]:
-        return self.states[index].mine(winner, records, difficulty)
-
-    def crash(self, index: int, name: str) -> None:
-        self.states[index].crash(name)
-
-    def restart(self, index: int, name: str) -> None:
-        self.states[index].restart(name)
-
-    def store_fault(
-        self, index: int, name: str, kind: str, params: Dict[str, Any]
-    ) -> None:
-        self.states[index].store_fault(name, kind, params)
-
-    def export_chain(self, index: int, name: str) -> bytes:
-        return self.states[index].export_replica_chain(name)
-
-    def adopt(self, blob: bytes, winner: str) -> None:
-        for index in sorted(self.states):
-            self.states[index].adopt(blob, winner)
-
-    def collect(self, fields: Tuple[str, ...]) -> Dict[int, Dict[str, Any]]:
-        return {
-            index: self.states[index].snapshot(fields)
-            for index in sorted(self.states)
-        }
-
-    def telemetry_payloads(self) -> Dict[int, Optional[Dict[str, Any]]]:
-        return {
-            index: self.states[index].telemetry_payload()
-            for index in sorted(self.states)
-        }
+    def run(self, commands: Sequence[_Command]) -> List[Any]:
+        """Run commands in order: ``states[shard].op(*args)`` each."""
+        return [
+            getattr(self.states[shard], op)(*args) for op, shard, args in commands
+        ]
 
     def close(self) -> None:
         for state in self.states.values():
             state.close()
 
 
-class _ProcessExecutor:
-    """Shards spread over persistent worker processes, round-robin."""
+def _shard_worker(conn, blueprint: _Blueprint, owned: Tuple[int, ...]) -> None:
+    """Persistent worker: owns a set of shards, serves command batches."""
+    shards = _InProcess(blueprint, owned)
+    try:
+        while True:
+            commands = conn.recv()
+            if commands is None:  # stop: flush the stores, then exit
+                shards.close()
+                conn.send(("ok", None))
+                return
+            try:
+                conn.send(("ok", shards.run(commands)))
+            except Exception as exc:  # ship the failure, keep serving
+                conn.send(("error", f"{type(exc).__name__}: {exc}"))
+    except (EOFError, KeyboardInterrupt):
+        pass
+
+
+class _Workers:
+    """Shards spread round-robin over persistent worker processes."""
 
     def __init__(self, blueprint: _Blueprint, workers: int) -> None:
         try:
@@ -696,9 +585,6 @@ class _ProcessExecutor:
         except ValueError:  # pragma: no cover - non-POSIX fallback
             context = multiprocessing.get_context()
         shards = blueprint.spec.shards
-        self._owner: Dict[int, int] = {
-            shard: shard % workers for shard in range(shards)
-        }
         self._pipes = []
         self._procs = []
         for worker in range(workers):
@@ -714,89 +600,30 @@ class _ProcessExecutor:
             self._pipes.append(parent_conn)
             self._procs.append(proc)
 
-    def _gather(self, results: List[Any]) -> List[Any]:
-        unwrapped = []
-        for status, value in results:
+    def run(self, commands: Sequence[_Command]) -> List[Any]:
+        """One round trip per worker the batch touches; results in order."""
+        positions: Dict[int, List[int]] = {}
+        for position, (_, shard, _) in enumerate(commands):
+            positions.setdefault(shard % len(self._pipes), []).append(position)
+        for worker, owned in positions.items():
+            self._pipes[worker].send([commands[p] for p in owned])
+        results: List[Any] = [None] * len(commands)
+        failures = []
+        for worker, owned in positions.items():
+            status, values = self._pipes[worker].recv()
             if status != "ok":
-                raise RuntimeError(f"shard worker failed: {value}")
-            unwrapped.append(value)
-        return unwrapped
-
-    def _broadcast(self, command: Tuple) -> List[Any]:
-        for pipe in self._pipes:
-            pipe.send(command)
-        return self._gather([pipe.recv() for pipe in self._pipes])
-
-    def _send_owner(self, shard: int, command: Tuple) -> Any:
-        pipe = self._pipes[self._owner[shard]]
-        pipe.send(command)
-        return self._gather([pipe.recv()])[0]
-
-    def _merge_shard_maps(self, per_worker: List[Dict[int, Any]]) -> Dict[int, Any]:
-        merged: Dict[int, Any] = {}
-        for mapping in per_worker:
-            merged.update(mapping)
-        return merged
-
-    def run_epoch(self, target: float) -> Tuple[int, Dict[int, Dict[int, bytes]]]:
-        merged = self._merge_shard_maps(self._broadcast(("epoch", target)))
-        fired = sum(count for count, _ in merged.values())
-        outboxes = {
-            index: frames for index, (count, frames) in merged.items() if frames
-        }
-        return fired, outboxes
-
-    def settle_round(self) -> Tuple[int, float, Dict[int, Dict[int, bytes]]]:
-        merged = self._merge_shard_maps(self._broadcast(("settle",)))
-        fired = sum(count for count, _, _ in merged.values())
-        latest = max(now for _, now, _ in merged.values())
-        outboxes = {
-            index: frames for index, (_, _, frames) in merged.items() if frames
-        }
-        return fired, latest, outboxes
-
-    def inject(self, routed: Dict[int, bytes], barrier_time: Optional[float]) -> None:
-        per_worker: Dict[int, Dict[int, bytes]] = {}
-        for shard, blob in routed.items():
-            per_worker.setdefault(self._owner[shard], {})[shard] = blob
-        pending = []
-        for worker, mapping in per_worker.items():
-            self._pipes[worker].send(("inject", barrier_time, mapping))
-            pending.append(self._pipes[worker])
-        self._gather([pipe.recv() for pipe in pending])
-
-    def mine(
-        self, index: int, winner: str, records: Tuple[ChainRecord, ...], difficulty: int
-    ) -> Optional[bytes]:
-        return self._send_owner(index, ("mine", index, winner, records, difficulty))
-
-    def crash(self, index: int, name: str) -> None:
-        self._send_owner(index, ("crash", index, name))
-
-    def restart(self, index: int, name: str) -> None:
-        self._send_owner(index, ("restart", index, name))
-
-    def store_fault(
-        self, index: int, name: str, kind: str, params: Dict[str, Any]
-    ) -> None:
-        self._send_owner(index, ("store_fault", index, name, kind, params))
-
-    def export_chain(self, index: int, name: str) -> bytes:
-        return self._send_owner(index, ("export", index, name))
-
-    def adopt(self, blob: bytes, winner: str) -> None:
-        self._broadcast(("adopt", blob, winner))
-
-    def collect(self, fields: Tuple[str, ...]) -> Dict[int, Dict[str, Any]]:
-        return self._merge_shard_maps(self._broadcast(("collect", fields)))
-
-    def telemetry_payloads(self) -> Dict[int, Optional[Dict[str, Any]]]:
-        return self._merge_shard_maps(self._broadcast(("telemetry",)))
+                failures.append(values)
+                continue
+            for position, value in zip(owned, values):
+                results[position] = value
+        if failures:
+            raise RuntimeError(f"shard worker failed: {failures[0]}")
+        return results
 
     def close(self) -> None:
         for pipe, proc in zip(self._pipes, self._procs):
             try:
-                pipe.send(("stop",))
+                pipe.send(None)
                 pipe.recv()
             except (BrokenPipeError, EOFError, OSError):
                 pass
@@ -826,21 +653,23 @@ class _ControlEvent:
         return (self.time, self.seq) < (other.time, other.seq)
 
 
-@dataclass
-class _PendingRecords:
-    records: List[ChainRecord]
-
-
 class ShardedSimulator:
-    """A partitioned fleet behind the canonical time-control surface.
+    """A replica fleet, serial or partitioned, behind one time-control surface.
 
-    Drives a :class:`FleetSpec` fleet the way :class:`DistributedChain`
-    drives an unsharded one — ``step``/``run_blocks`` for the mining
-    loop, ``submit_record``/``inject_byzantine_record`` for the record
-    feeds, ``crash``/``restart``/``inject_store_fault`` for the chaos
-    plane, ``finalize`` for convergence — plus the unified clock verbs
+    ``step``/``run_blocks`` drive the mining loop: each round advances
+    the fleet by the sampled block interval, then the winner assembles
+    a block on *its own* head and announces it.  Byzantine winners
+    include their queued records regardless of validity; honest
+    replicas with a semantic record check reject such blocks and keep
+    mining the clean branch.  ``submit_record``/
+    ``inject_byzantine_record`` feed the record queues,
+    ``crash``/``restart``/``inject_store_fault`` form the chaos plane,
+    ``finalize`` converges the fleet, and the clock verbs
     (``advance``/``advance_until``/``advance_for``, ``schedule``/
-    ``schedule_at``) so experiments and chaos plans stay engine-agnostic.
+    ``schedule_at``) keep experiments and chaos plans engine-agnostic.
+
+    ``shares`` maps full-node names to hashpower; its keys name the
+    full nodes (default: the spec's equal shares over ``provider-i``).
 
     ``jobs`` picks the execution strategy only: 1 runs every shard in
     this process (the parity oracle), >1 spreads shards over that many
@@ -863,40 +692,43 @@ class ShardedSimulator:
         confirmation_depth: int = 6,
         seed: int = 0,
         jobs: int = 1,
-        barrier_interval: float = 0.25,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         if not isinstance(spec, FleetSpec):
             raise TypeError(f"spec must be a FleetSpec, got {type(spec).__name__}")
-        if barrier_interval <= 0:
-            raise ValueError("barrier_interval must be > 0")
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         self.spec = spec
-        full_names = spec.full_names()
         if shares is None:
             shares = spec.equal_shares()
-        elif set(shares) != set(full_names):
+        elif len(shares) != spec.full_nodes:
             raise ValueError(
                 "shares must name exactly the spec's full nodes "
-                f"({len(full_names)} providers)"
+                f"({spec.full_nodes} providers)"
+            )
+        full_names = list(shares)
+        light_names = spec.light_names()
+        clashing = set(full_names) & set(light_names)
+        if clashing:
+            raise ValueError(
+                f"full-node names clash with light replicas: {sorted(clashing)}"
             )
         self.byzantine = set(byzantine or ())
         unknown = self.byzantine - set(full_names)
         if unknown:
             raise ValueError(f"byzantine names not in the fleet: {sorted(unknown)}")
-        # Master rng consumption order matches DistributedChain exactly:
-        # topology seed, network seed, model seed.  With one shard the
-        # network seed is used directly (derive_shard_seeds' k=1 case),
-        # so the unsharded anchor holds draw for draw.
+        self._full_names = full_names
+        # Master rng consumption order: topology seed, network seed,
+        # model seed.  With one shard the network seed is used directly
+        # (derive_shard_seeds' k=1 case).
         rng = random.Random(seed)
         topo_seed = rng.randrange(2**31)
         net_base = rng.randrange(2**31)
         model_seed = rng.randrange(2**31)
-        ring_order = _interleave(full_names, spec.light_names())
-        self._plan = build_plan(spec, ring_order)
+        self._plan = build_plan(spec, _interleave(full_names, light_names))
         blueprint = _Blueprint(
             spec=spec,
+            full_names=tuple(full_names),
             assignments=self._plan.assignments,
             topo_seed=topo_seed,
             shard_seeds=tuple(derive_shard_seeds(net_base, spec.shards)),
@@ -916,23 +748,35 @@ class ShardedSimulator:
         workers = min(jobs, spec.shards)
         self.jobs = workers
         if workers > 1:
-            self._executor = _ProcessExecutor(blueprint, workers)
+            self._executor = _Workers(blueprint, workers)
         else:
-            self._executor = _SerialExecutor(blueprint)
+            self._executor = _InProcess(blueprint, range(spec.shards))
         self.telemetry = telemetry
         self._telemetry_merged = False
         self._difficulty = difficulty
-        self._barrier_interval = barrier_interval
+        self._barrier = _BARRIER_INTERVAL if spec.shards > 1 else math.inf
         self._now = 0.0
         self._control_heap: List[_ControlEvent] = []
         self._control_seq = itertools.count()
-        self._crashed: Set[str] = set()
         self._honest_mempool: List[ChainRecord] = []
-        self._byzantine_queue: Dict[str, _PendingRecords] = {
-            name: _PendingRecords([]) for name in self.byzantine
+        self._byzantine_queue: Dict[str, List[ChainRecord]] = {
+            name: [] for name in self.byzantine
         }
         self.blocks_mined = 0
         self._closed = False
+
+    # -- executor protocol ---------------------------------------------------
+
+    def _each(self, op: str, *args: Any) -> List[Any]:
+        """``op(*args)`` on every shard; results in shard order."""
+        return self._executor.run(
+            [(op, index, args) for index in range(self.spec.shards)]
+        )
+
+    def _on(self, name: str, op: str, *args: Any) -> Any:
+        """``op(name, *args)`` on the shard owning ``name``."""
+        command = (op, self._plan.shard_of(name), (name, *args))
+        return self._executor.run([command])[0]
 
     # -- the canonical time-control surface --------------------------------
 
@@ -980,7 +824,7 @@ class ShardedSimulator:
         fired = 0
         deadline = max(deadline, self._now)
         while True:
-            target = min(deadline, self._now + self._barrier_interval)
+            target = min(deadline, self._now + self._barrier)
             next_control = self._next_control_time()
             if next_control is not None and next_control < target:
                 target = max(next_control, self._now)
@@ -998,7 +842,7 @@ class ShardedSimulator:
         """Run the whole fleet to quiescence (cross-shard included)."""
         if max_events is not None:
             raise ValueError(
-                "the sharded engine always drains to quiescence; "
+                "the fleet engine always drains to quiescence; "
                 "bound the run with advance_until/advance_for instead"
             )
         fired = self._settle()
@@ -1006,14 +850,12 @@ class ShardedSimulator:
         return fired
 
     def _epoch(self, target: float) -> int:
-        fired, outboxes = self._executor.run_epoch(target)
-        routed = self._route(outboxes)
-        if routed:
-            self._executor.inject(routed, target)
-        return fired
+        results = self._each("run_epoch", target)
+        self._inject(self._route([frames for _, frames in results]), target)
+        return sum(fired for fired, _ in results)
 
     @staticmethod
-    def _route(outboxes: Dict[int, Dict[int, bytes]]) -> Dict[int, bytes]:
+    def _route(outboxes: List[Dict[int, bytes]]) -> Dict[int, bytes]:
         """Merge per-source frame blobs per destination, source-ordered.
 
         Framed blobs concatenate losslessly, and concatenating in shard
@@ -1021,24 +863,35 @@ class ShardedSimulator:
         worker answered first — the heart of the jobs-parity guarantee.
         """
         routed: Dict[int, List[bytes]] = {}
-        for src in sorted(outboxes):
-            for dst in sorted(outboxes[src]):
-                routed.setdefault(dst, []).append(outboxes[src][dst])
+        for outbox in outboxes:
+            for dst in sorted(outbox):
+                routed.setdefault(dst, []).append(outbox[dst])
         return {dst: b"".join(blobs) for dst, blobs in routed.items()}
+
+    def _inject(
+        self, routed: Dict[int, bytes], barrier_time: Optional[float]
+    ) -> None:
+        if routed:
+            self._executor.run(
+                [
+                    ("inject", dst, (blob, barrier_time))
+                    for dst, blob in sorted(routed.items())
+                ]
+            )
 
     def _settle(self) -> int:
         fired = 0
         for _ in range(_MAX_SETTLE_ROUNDS):
-            count, latest, outboxes = self._executor.settle_round()
-            fired += count
-            # Like an unsharded settle(), the fleet clock lands on the
-            # last delivered event, so a subsequent step() advances
-            # from quiescence, not from the pre-settle barrier.
-            self._now = max(self._now, latest)
-            routed = self._route(outboxes)
+            results = self._each("settle_round")
+            fired += sum(count for count, _, _ in results)
+            # The fleet clock lands on the last delivered event, so a
+            # subsequent step() advances from quiescence, not from the
+            # pre-settle barrier.
+            self._now = max(self._now, *(now for _, now, _ in results))
+            routed = self._route([frames for _, _, frames in results])
             if not routed:
                 return fired
-            self._executor.inject(routed, None)
+            self._inject(routed, None)
         raise RuntimeError("cross-shard traffic failed to quiesce")
 
     # -- record feeds -------------------------------------------------------
@@ -1051,32 +904,31 @@ class ShardedSimulator:
         """Queue a (typically invalid) record for a byzantine miner."""
         if miner not in self.byzantine:
             raise ValueError(f"{miner} is not byzantine")
-        self._byzantine_queue[miner].records.append(record)
+        self._byzantine_queue[miner].append(record)
 
     # -- mining drive --------------------------------------------------------
 
     def step(self) -> Optional[Block]:
-        """One mining round, identical in shape to the unsharded engine:
-        advance all shards by the sampled interval, then the winner
-        (wherever it lives) extends its own head and announces."""
+        """One mining round: advance all shards by the sampled interval,
+        then the winner (wherever it lives) extends its own head and
+        announces.
+
+        Returns None when the winner is crashed — however it went down —
+        and its queue then waits for a later round.
+        """
         outcome = self.model.next_block()
         self.advance_until(self._now + outcome.interval)
-        if outcome.winner in self._crashed:
-            return None
-        if outcome.winner in self.byzantine:
-            queued = self._byzantine_queue[outcome.winner]
-            records = tuple(queued.records)
-            queued.records = []
+        winner = outcome.winner
+        if winner in self.byzantine:
+            queue = self._byzantine_queue[winner]
         else:
-            records = tuple(self._honest_mempool)
-            self._honest_mempool = []
-        blob = self._executor.mine(
-            self._plan.shard_of(outcome.winner), outcome.winner, records, self._difficulty
-        )
-        if blob is None:  # pragma: no cover - crash state is coordinator-owned
+            queue = self._honest_mempool
+        block = self._on(winner, "mine", tuple(queue), self._difficulty)
+        if block is None:
             return None
+        queue.clear()
         self.blocks_mined += 1
-        return decode_block(blob)
+        return block
 
     def run_blocks(self, count: int) -> List[Optional[Block]]:
         """Mine ``count`` rounds (entries are None for crashed winners)."""
@@ -1090,13 +942,11 @@ class ShardedSimulator:
 
     def crash(self, name: str) -> None:
         """Crash a fleet member (full or light) wherever it lives."""
-        self._crashed.add(name)
-        self._executor.crash(self._plan.shard_of(name), name)
+        self._on(name, "crash")
 
     def restart(self, name: str) -> None:
         """Restart a crashed member; its in-shard recovery hooks run."""
-        self._crashed.discard(name)
-        self._executor.restart(self._plan.shard_of(name), name)
+        self._on(name, "restart")
 
     def inject_store_fault(self, name: str, kind: str, **params: Any) -> None:
         """Corrupt a member's durable store (``torn_write``/``bit_flip``/
@@ -1104,33 +954,34 @@ class ShardedSimulator:
         process; the harm surfaces at the restart's store recovery."""
         if kind not in _STORE_FAULTS:
             raise ValueError(f"unknown store fault {kind!r} (use {_STORE_FAULTS})")
-        self._executor.store_fault(self._plan.shard_of(name), name, kind, params)
+        self._on(name, "store_fault", kind, params)
 
     # -- convergence ---------------------------------------------------------
 
     def finalize(self) -> None:
         """Settle, then converge the fleet on its heaviest chain.
 
-        Cross-shard frames are drained to quiescence; the globally
-        heaviest alive replica (difficulty-then-name, the unsharded
-        tie-break) exports its canonical chain once; every shard adopts
-        it through the normal validated resync path; light replicas
+        Bounded-fanout relays do not guarantee every broadcast reaches
+        every node, so after gossip drains each straggler resyncs from
+        the globally heaviest alive replica (difficulty, then name) —
+        other shards through its exported chain — and light replicas
         then resync from their in-shard servers.
         """
         self._settle()
         best = self._global_heaviest()
-        if best is None:
-            self._merge_telemetry()
-            return
-        _, winner, _ = best
-        blob = self._executor.export_chain(self._plan.shard_of(winner), winner)
-        self._executor.adopt(blob, winner)
+        if best is not None:
+            winner = best[1]
+            # One shard adopts from the live winner; other shards need
+            # its chain exported across the boundary.
+            blob = None
+            if self.spec.shards > 1:
+                blob = self._on(winner, "export_replica_chain")
+            self._each("adopt", blob, winner)
         self._merge_telemetry()
 
     def _global_heaviest(self) -> Optional[Tuple[int, str, bytes]]:
         best: Optional[Tuple[int, str, bytes]] = None
-        for _, snapshot in sorted(self._executor.collect(("candidate",)).items()):
-            candidate = snapshot["candidate"]
+        for candidate in self._each("heaviest_candidate"):
             if candidate is None:
                 continue
             if (
@@ -1138,7 +989,7 @@ class ShardedSimulator:
                 or candidate[0] > best[0]
                 or (candidate[0] == best[0] and candidate[1] < best[1])
             ):
-                best = tuple(candidate)
+                best = candidate
         return best
 
     def _merge_telemetry(self) -> None:
@@ -1147,17 +998,17 @@ class ShardedSimulator:
         if self._telemetry_merged:
             return
         self._telemetry_merged = True
-        for _, payload in sorted(self._executor.telemetry_payloads().items()):
+        for payload in self._each("telemetry_payload"):
             if payload is not None:
                 self.telemetry.merge_payload(payload)
 
     # -- inspection ----------------------------------------------------------
 
-    def _gather(self, field: str) -> Dict[str, Any]:
+    def _gather(self, op: str) -> Dict[str, Any]:
         """Merge one per-member view across shards, shard-ordered."""
         merged: Dict[str, Any] = {}
-        for _, snapshot in sorted(self._executor.collect((field,)).items()):
-            merged.update(snapshot[field])
+        for part in self._each(op):
+            merged.update(part)
         return merged
 
     def heads(self) -> Dict[str, bytes]:
@@ -1193,6 +1044,10 @@ class ShardedSimulator:
         best = self._global_heaviest()
         return best is None or tips == {best[2]}
 
+    def honest_names(self) -> Set[str]:
+        """Full replicas not marked byzantine."""
+        return set(self._full_names) - self.byzantine
+
     def export_canonical(self) -> bytes:
         """The heaviest alive replica's canonical chain, serialized —
         feed to :func:`repro.chain.serialization.import_chain` or a
@@ -1200,8 +1055,7 @@ class ShardedSimulator:
         best = self._global_heaviest()
         if best is None:
             raise RuntimeError("no alive replica to export from")
-        _, winner, _ = best
-        return self._executor.export_chain(self._plan.shard_of(winner), winner)
+        return self._on(best[1], "export_replica_chain")
 
     def summary(self) -> Dict[str, float]:
         """Fleet-wide transport counters (shard summaries merged)."""
@@ -1216,24 +1070,99 @@ class ShardedSimulator:
 
     def shard_summaries(self) -> Dict[int, Dict[str, float]]:
         """Per-shard transport counters, for imbalance inspection."""
-        return {
-            index: snapshot["summary"]
-            for index, snapshot in sorted(
-                self._executor.collect(("summary",)).items()
-            )
-        }
+        return dict(enumerate(self._each("summary")))
+
+    # -- in-process views (jobs=1) -------------------------------------------
 
     @property
     def shard_states(self) -> Optional[Dict[int, ShardState]]:
-        """Direct shard access — serial mode only (None under workers)."""
-        if isinstance(self._executor, _SerialExecutor):
+        """Direct shard access — in-process fleets only (None under workers)."""
+        if isinstance(self._executor, _InProcess):
             return self._executor.states
         return None
+
+    def _local(self) -> Dict[int, ShardState]:
+        states = self.shard_states
+        if states is None:
+            raise RuntimeError("live node views need an in-process fleet (jobs=1)")
+        return states
+
+    def _only_shard(self) -> ShardState:
+        if self.spec.shards != 1:
+            raise RuntimeError(
+                f"a {self.spec.shards}-shard fleet has no single simulator or "
+                "network; use the fleet's own clock and inspection verbs"
+            )
+        return self._local()[0]
+
+    @property
+    def replicas(self) -> Dict[str, ReplicaNode]:
+        """Every full replica by name, shard by shard."""
+        return {
+            name: replica
+            for state in self._local().values()
+            for name, replica in state.replicas.items()
+        }
+
+    @property
+    def light_replicas(self) -> Dict[str, LightReplicaNode]:
+        """Every light replica by name, shard by shard."""
+        return {
+            name: light
+            for state in self._local().values()
+            for name, light in state.light_replicas.items()
+        }
+
+    @property
+    def simulator(self) -> Simulator:
+        """A one-shard fleet's event loop (schedule on it; advance the
+        fleet through :meth:`advance_until` so it keeps one clock)."""
+        return self._only_shard().simulator
+
+    @property
+    def network(self) -> GossipNetwork:
+        """A one-shard fleet's gossip overlay (partitions, loss, crashes)."""
+        return self._only_shard().network
+
+    def _node(self, name: str):
+        return self._local()[self._plan.shard_of(name)].node(name)
+
+    def record_on_honest_chains(self, record_id: bytes) -> bool:
+        """True if any honest replica has the record on its canonical chain."""
+        return any(
+            self._node(name).chain.locate_record(record_id) is not None
+            for name in self.honest_names()
+        )
+
+    def _heaviest_replica(self) -> Optional[ReplicaNode]:
+        """The alive replica with the heaviest chain (name-ordered ties)."""
+        best = self._global_heaviest()
+        return None if best is None else self._node(best[1])
+
+    def query_service(self, name: str, **kwargs):
+        """A :class:`~repro.query.service.QueryService` over one member.
+
+        ``name`` may be a full replica (whole query surface, index
+        persisted into its durable store when it has one) or a light
+        replica (header-backed subset).  The staleness reference
+        defaults to the fleet's heaviest alive replica, so responses
+        report how far this node lags the canonical chain — e.g. mid
+        resync after a restart — and the batch scheduler defaults to
+        the member's shard simulator.
+        """
+        from repro.query.service import QueryService  # noqa: PLC0415 - cycle
+
+        if name not in self._plan:
+            raise KeyError(f"{name!r} names no replica in this fleet")
+        state = self._local()[self._plan.shard_of(name)]
+        kwargs.setdefault("canonical", self._heaviest_replica)
+        kwargs.setdefault("simulator", state.simulator)
+        return QueryService.connect_node(state.node(name), **kwargs)
 
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        """Stop workers (flushing any stores); safe to call twice."""
+        """Stop workers and close every store; safe to call twice."""
         if self._closed:
             return
         self._closed = True

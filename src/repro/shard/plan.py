@@ -91,9 +91,11 @@ def build_plan(spec: FleetSpec, ring_order: Sequence[str]) -> ShardPlan:
     else:
         assignments = _contiguous_assignments(ring_order, spec.shards)
     plan = ShardPlan(assignments=assignments)
-    full_names = set(spec.full_names())
+    # Light replicas carry the spec's names; full nodes may be named by
+    # the fleet's hashpower shares, so they are everything else.
+    light_names = set(spec.light_names())
     for index in range(plan.shards):
-        if not any(name in full_names for name in plan.members(index)):
+        if all(name in light_names for name in plan.members(index)):
             raise ValueError(
                 f"{spec.shard_strategy!r} plan leaves shard {index} with no "
                 "full node; lower the shard count or rebalance the fleet"
@@ -141,7 +143,7 @@ def derive_shard_seeds(master_seed: int, count: int) -> List[int]:
     with shard k+1's regardless of how either consumes it — the same
     discipline :func:`repro.experiments.runner.derive_seeds` applies to
     trial fan-out.  ``count == 1`` returns the master seed itself, so a
-    one-shard fleet draws the exact stream the unsharded engine draws.
+    one-shard fleet draws the master stream directly.
     """
     if count == 1:
         return [master_seed]

@@ -2,19 +2,14 @@
 
 Fleet-shaped experiments kept re-spelling the same knobs — how many
 full nodes, how many header-only light replicas, which topology and
-relay mode, where (if anywhere) replicas persist, and now how many
-shards the fleet is partitioned into.  :class:`FleetSpec` is the one
-object every engine consumes:
+relay mode, where (if anywhere) replicas persist, and how many shards
+the fleet is partitioned into.  :class:`FleetSpec` is the one object
+that carries them:
 
-* :class:`~repro.core.distributed.DistributedChain` (``spec=``),
-* :class:`~repro.core.stakeholders.DecentralizedDeployment` (``spec=``),
-* :class:`~repro.shard.engine.ShardedSimulator` (its only required
-  argument).
-
-The old per-engine kwarg spellings (``topology_kind=``, ``network=``,
-``light_count=``, ``store_dir=``, ``store_snapshot_interval=``) keep
-working through warn-once deprecation shims (:mod:`repro.compat`),
-mirroring the ``advance``/``advance_until`` unification.
+* :class:`~repro.shard.engine.ShardedSimulator` runs any spec (its only
+  required argument); ``shards == 1`` is the serial fleet,
+* :class:`~repro.core.stakeholders.DecentralizedDeployment` (``spec=``)
+  takes its persistence knobs from it.
 """
 
 from __future__ import annotations
@@ -38,8 +33,8 @@ class FleetSpec:
     (§V-B: full replicas vs lightweight header-only detectors);
     ``network`` carries the overlay topology and relay mode; a set
     ``store_dir`` makes every node persist under ``store_dir/<name>``;
-    ``shards`` partitions the fleet for the sharded engine (``1`` means
-    unsharded — the value every single-process engine requires);
+    ``shards`` partitions the fleet (``1`` means one serial event loop,
+    the only value the stakeholder deployment accepts);
     ``shard_strategy`` picks how nodes map to shards (``"topology"``
     keeps ring neighbours together, ``"consistent_hash"`` spreads names
     over a hash ring).
@@ -143,7 +138,7 @@ class FleetSpec:
         return replace(self, shards=shards, shard_strategy=strategy)
 
     def unsharded(self) -> "FleetSpec":
-        """This spec with sharding stripped (for single-process engines)."""
+        """This spec with sharding stripped (one serial event loop)."""
         return replace(self, shards=1)
 
 

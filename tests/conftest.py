@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import random
 
 import pytest
@@ -31,3 +32,10 @@ def detector_keys() -> KeyPair:
 def other_keys() -> KeyPair:
     """A third-party keypair (attackers, bystanders)."""
     return KeyPair.from_seed(b"test-other")
+
+
+@pytest.fixture
+def exit_stack():
+    """Closes what a test registers (store-backed fleets) at teardown."""
+    with contextlib.ExitStack() as stack:
+        yield stack

@@ -4,9 +4,18 @@ import pytest
 
 from repro.chain.block import ChainRecord, RecordKind
 from repro.chain.pow import PAPER_HASHPOWER_SHARES
-from repro.core.distributed import DistributedChain
 from repro.crypto.hashing import hash_fields
+from repro.network.config import NetworkConfig
 from repro.network.latency import ConstantLatency
+from repro.shard import FleetSpec, ShardedSimulator
+
+
+def _fleet(shares, topology: str = "complete", **kwargs) -> ShardedSimulator:
+    """A serial fleet whose full nodes are named by ``shares``."""
+    spec = FleetSpec(
+        full_nodes=len(shares), network=NetworkConfig(topology=topology)
+    )
+    return ShardedSimulator(spec, shares, **kwargs)
 
 
 def _record(tag: str, payload: bytes = b"ok") -> ChainRecord:
@@ -28,7 +37,7 @@ def _check(record: ChainRecord) -> bool:
 
 class TestConvergence:
     def test_replicas_converge_after_mining(self):
-        net = DistributedChain(PAPER_HASHPOWER_SHARES, seed=1)
+        net = _fleet(PAPER_HASHPOWER_SHARES, seed=1)
         net.run_blocks(20)
         net.settle()
         assert net.converged()
@@ -36,7 +45,7 @@ class TestConvergence:
         assert heights == {20}
 
     def test_honest_records_replicate_everywhere(self):
-        net = DistributedChain(PAPER_HASHPOWER_SHARES, record_check=_check, seed=2)
+        net = _fleet(PAPER_HASHPOWER_SHARES, record_check=_check, seed=2)
         record = _record("everyone")
         net.submit_record(record)
         net.run_blocks(10)
@@ -57,9 +66,9 @@ class TestConvergence:
     def test_out_of_order_blocks_buffered(self):
         # High-latency ring forces frequent out-of-order delivery; the
         # orphan buffer must still converge all replicas.
-        net = DistributedChain(
+        net = _fleet(
             PAPER_HASHPOWER_SHARES,
-            topology_kind="ring",
+            topology="ring",
             latency=ConstantLatency(2.0),
             seed=3,
         )
@@ -70,7 +79,7 @@ class TestConvergence:
     def test_fork_resolved_by_heaviest_chain(self):
         # Very high latency vs block time creates real forks; after the
         # dust settles, everyone agrees on one head.
-        net = DistributedChain(
+        net = _fleet(
             PAPER_HASHPOWER_SHARES,
             mean_block_time=1.0,
             latency=ConstantLatency(0.8),
@@ -83,7 +92,7 @@ class TestConvergence:
 
 class TestByzantine:
     def test_forged_record_rejected_by_honest_majority(self):
-        net = DistributedChain(
+        net = _fleet(
             PAPER_HASHPOWER_SHARES,
             record_check=_check,
             byzantine={"provider-5"},  # 10.1% hashpower
@@ -98,7 +107,7 @@ class TestByzantine:
         assert net.converged(among=net.honest_names())
 
     def test_honest_replicas_reject_invalid_blocks(self):
-        net = DistributedChain(
+        net = _fleet(
             PAPER_HASHPOWER_SHARES,
             record_check=_check,
             byzantine={"provider-5"},
@@ -117,7 +126,7 @@ class TestByzantine:
         # and its forged record DOES reach the byzantine chain head,
         # out-mining the honest minority.
         shares = {"honest": 0.2, "colluder": 0.8}
-        net = DistributedChain(
+        net = _fleet(
             shares, record_check=_check, byzantine={"colluder"}, seed=7
         )
         forged = _forged("evil3")
@@ -132,6 +141,6 @@ class TestByzantine:
         )
 
     def test_inject_requires_byzantine_miner(self):
-        net = DistributedChain(PAPER_HASHPOWER_SHARES, seed=8)
+        net = _fleet(PAPER_HASHPOWER_SHARES, seed=8)
         with pytest.raises(ValueError):
             net.inject_byzantine_record("provider-1", _forged("x"))

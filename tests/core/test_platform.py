@@ -109,6 +109,19 @@ class TestScheduling:
         platform.advance_until(400.0)
         assert platform.release_case(sra.sra_id) is not None
 
+    def test_advance_for_returns_blocks_mined(self):
+        platform = _platform(seed=6)
+        count = platform.advance_for(200.0)
+        assert count == len(platform.last_mined_events)
+        assert count >= 1
+
+    def test_schedule_at_fires_at_absolute_time(self):
+        platform = _platform(seed=9)
+        fired = []
+        platform.schedule_at(40.0, lambda: fired.append(platform.now))
+        platform.advance_until(80.0)
+        assert fired == [pytest.approx(40.0)]
+
     def test_run_until_advances_clock(self):
         platform = _platform(seed=23)
         platform.advance_until(500.0)

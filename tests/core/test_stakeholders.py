@@ -28,6 +28,15 @@ def settled():
 
 
 class TestWorkflowOverMessages:
+    def test_advance_for_returns_blocks_mined(self):
+        deployment = DecentralizedDeployment(
+            PAPER_HASHPOWER_SHARES,
+            build_detector_fleet(thread_counts=(2, 5), seed=12),
+            seed=12,
+        )
+        mined = deployment.advance_for(120.0)
+        assert isinstance(mined, int) and mined >= 1
+
     def test_sra_reaches_all_providers(self, settled):
         deployment, sra, _ = settled
         for provider in deployment.providers.values():

@@ -4,9 +4,9 @@ import os
 
 import pytest
 
-from repro.core.distributed import DistributedChain
 from repro.experiments.fleet_scale import fleet_split, run_fleet_scale
 from repro.network.config import NetworkConfig
+from repro.shard import FleetSpec, ShardedSimulator
 
 
 class TestFleetSplit:
@@ -88,10 +88,13 @@ class TestDeterminism:
 
 class TestLightFleetMechanics:
     def test_light_clients_track_reorgs(self):
-        net = DistributedChain(
+        net = ShardedSimulator(
+            FleetSpec(
+                full_nodes=6,
+                light_nodes=12,
+                network=NetworkConfig.large_fleet(degree=4, fanout=2),
+            ),
             {f"p{i}": 1.0 for i in range(6)},
-            network=NetworkConfig.large_fleet(degree=4, fanout=2),
-            light_count=12,
             seed=21,
         )
         net.run_blocks(10)
@@ -105,10 +108,13 @@ class TestLightFleetMechanics:
             assert len(light.headers) == heaviest.chain.height + 1
 
     def test_crashed_light_client_resyncs_on_restart(self):
-        net = DistributedChain(
+        net = ShardedSimulator(
+            FleetSpec(
+                full_nodes=5,
+                light_nodes=3,
+                network=NetworkConfig(topology="complete", mode="inv"),
+            ),
             {f"p{i}": 1.0 for i in range(5)},
-            network=NetworkConfig(topology="complete", mode="inv"),
-            light_count=3,
             seed=22,
         )
         net.run_blocks(3)
@@ -123,11 +129,14 @@ class TestLightFleetMechanics:
         assert victim.header_resyncs >= 1
 
     def test_seen_capacity_bounds_dedup_state(self):
-        net = DistributedChain(
-            {f"p{i}": 1.0 for i in range(4)},
-            network=NetworkConfig(
-                topology="complete", mode="inv", seen_capacity=3
+        net = ShardedSimulator(
+            FleetSpec(
+                full_nodes=4,
+                network=NetworkConfig(
+                    topology="complete", mode="inv", seen_capacity=3
+                ),
             ),
+            {f"p{i}": 1.0 for i in range(4)},
             seed=23,
         )
         net.run_blocks(8)

@@ -33,7 +33,7 @@ class TestOrphanAccounting:
     ``blocks + extra`` — but tie-break rounds can mine on losing forks
     and the tallest replica can sit on one, so at forking ratios the
     rate could go negative or overstate convergence.  The fix counts
-    ``DistributedChain.blocks_mined`` against the canonical (heaviest)
+    the fleet's ``blocks_mined`` against the canonical (heaviest)
     chain's height, clamped to [0, 1].
     """
 

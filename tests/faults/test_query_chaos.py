@@ -10,14 +10,12 @@ deliver per-request failures, never poison the simulator.
 
 from __future__ import annotations
 
-import tempfile
-
 import pytest
 
-from repro.core.distributed import DistributedChain
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import DISK_FAULTS, ChaosPlan, FaultKind
 from repro.query import QueryRequest
+from repro.shard import FleetSpec, ShardedSimulator
 from repro.store import INDEX_FILE_NAME
 from repro.store.fsck import fsck
 
@@ -57,36 +55,43 @@ class TestDropIndexPlan:
             plan.validate()
 
 
-def _store_fleet(seed=21, blocks=10):
-    fleet = DistributedChain(
-        {"a": 0.5, "b": 0.5}, seed=seed, store_dir=tempfile.mkdtemp()
-    )
-    fleet.run_blocks(blocks)
-    fleet.finalize()
-    return fleet
+@pytest.fixture
+def store_fleet(tmp_path, exit_stack):
+    """Builds a mined, converged two-replica store-backed fleet."""
+
+    def build(seed, blocks=10):
+        spec = FleetSpec(full_nodes=2, store_dir=str(tmp_path / f"fleet-{seed}"))
+        fleet = exit_stack.enter_context(
+            ShardedSimulator(spec, {"a": 0.5, "b": 0.5}, seed=seed)
+        )
+        fleet.run_blocks(blocks)
+        fleet.finalize()
+        return fleet
+
+    return build
 
 
 class TestDropIndexInjection:
-    def test_restart_without_the_fault_warm_starts(self):
-        fleet = _store_fleet(seed=23)
+    def test_restart_without_the_fault_warm_starts(self, store_fleet):
+        fleet = store_fleet(seed=23)
         svc = fleet.query_service("a")
         assert svc.cold_starts == 1  # construction built from genesis
         svc.persist_index()
-        now = fleet.simulator.now
+        now = fleet.now
         plan = ChaosPlan().crash_for("a", at=now + 10.0, downtime=20.0)
         FaultInjector(fleet.simulator, fleet.network, plan).arm()
-        fleet.simulator.advance_until(now + 40.0)
+        fleet.advance_until(now + 40.0)
         assert fleet.replicas["a"].alive
         assert svc.warm_starts == 1 and svc.cold_starts == 1
         assert svc.serve(QueryRequest.head()).ok
 
-    def test_dropped_index_forces_a_cold_rebuild(self):
-        fleet = _store_fleet(seed=29)
+    def test_dropped_index_forces_a_cold_rebuild(self, store_fleet):
+        fleet = store_fleet(seed=29)
         svc = fleet.query_service("a")
         svc.persist_index()
         store = fleet.replicas["a"].store
         assert (store.path / INDEX_FILE_NAME).exists()
-        now = fleet.simulator.now
+        now = fleet.now
         plan = (
             ChaosPlan()
             .crash("a", at=now + 10.0)
@@ -95,7 +100,7 @@ class TestDropIndexInjection:
         )
         injector = FaultInjector(fleet.simulator, fleet.network, plan)
         injector.arm()
-        fleet.simulator.advance_until(now + 40.0)
+        fleet.advance_until(now + 40.0)
         assert injector.faults_applied == 3
         assert not (store.path / INDEX_FILE_NAME).exists()
         # The node itself healed from its intact block log...
@@ -107,12 +112,12 @@ class TestDropIndexInjection:
         assert head.ok
         assert head.result["number"] == fleet.replicas["a"].chain.head.height
 
-    def test_reports_identical_after_cold_fallback(self):
-        fleet = _store_fleet(seed=31)
+    def test_reports_identical_after_cold_fallback(self, store_fleet):
+        fleet = store_fleet(seed=31)
         svc = fleet.query_service("a")
         before = svc.serve(QueryRequest.get_reports(limit=1024)).result["rows"]
         svc.persist_index()
-        now = fleet.simulator.now
+        now = fleet.now
         plan = (
             ChaosPlan()
             .crash("a", at=now + 5.0)
@@ -120,22 +125,21 @@ class TestDropIndexInjection:
             .restart("a", at=now + 15.0)
         )
         FaultInjector(fleet.simulator, fleet.network, plan).arm()
-        fleet.simulator.advance_until(now + 20.0)
+        fleet.advance_until(now + 20.0)
         after = svc.serve(QueryRequest.get_reports(limit=1024)).result["rows"]
         assert after == before
 
 
 class TestDeferredBatchMidOutage:
-    def test_batch_fired_against_crashed_node_fails_cleanly(self):
-        fleet = _store_fleet(seed=37)
+    def test_batch_fired_against_crashed_node_fails_cleanly(self, store_fleet):
+        fleet = store_fleet(seed=37)
         svc = fleet.query_service("a")
-        pending = fleet.simulator  # readable alias for the clock below
         batch = svc.submit_batch(
             [QueryRequest.head(), QueryRequest.get_block(0)], delay=5.0
         )
         fleet.crash("a")
         assert not batch.done
-        pending.advance()
+        fleet.advance()
         assert batch.done
         assert [r.ok for r in batch.responses] == [False, False]
         for response in batch.responses:

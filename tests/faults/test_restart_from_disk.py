@@ -15,12 +15,12 @@ import pytest
 from repro.chain.block import ChainRecord, RecordKind
 from repro.chain.ledger import LedgerStateMachine
 from repro.chain.pow import PAPER_HASHPOWER_SHARES
-from repro.core.distributed import DistributedChain
 from repro.core.stakeholders import DecentralizedDeployment
 from repro.crypto.hashing import hash_fields
 from repro.detection import build_detector_fleet, build_system
 from repro.faults import confirmed_chain_bytes
 from repro.network.latency import ConstantLatency
+from repro.shard import FleetSpec, ShardedSimulator
 
 SEEDS = (0, 1, 2)
 VICTIM = "provider-3"
@@ -34,16 +34,22 @@ def _record(tag: str) -> ChainRecord:
     )
 
 
-def _run_fleet(seed, store_dir, light_count=0):
+def _run_fleet(stack, seed, store_dir, light_count=0):
     """One deterministic crash/corruptionless-restart scenario."""
-    fleet = DistributedChain(
-        PAPER_HASHPOWER_SHARES,
-        latency=ConstantLatency(0.05),
-        seed=seed,
-        confirmation_depth=4,
-        light_count=light_count,
+    spec = FleetSpec(
+        full_nodes=len(PAPER_HASHPOWER_SHARES),
+        light_nodes=light_count,
         store_dir=store_dir,
         store_snapshot_interval=4,
+    )
+    fleet = stack.enter_context(
+        ShardedSimulator(
+            spec,
+            PAPER_HASHPOWER_SHARES,
+            latency=ConstantLatency(0.05),
+            seed=seed,
+            confirmation_depth=4,
+        )
     )
     for index in range(3):
         fleet.submit_record(_record(f"pre-{seed}-{index}"))
@@ -67,10 +73,10 @@ def _run_fleet(seed, store_dir, light_count=0):
 class TestFullNodeEquivalence:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_store_backed_fleet_matches_storeless_bit_for_bit(
-        self, seed, tmp_path
+        self, seed, tmp_path, exit_stack
     ):
-        durable = _run_fleet(seed, store_dir=str(tmp_path / "stores"))
-        volatile = _run_fleet(seed, store_dir=None)
+        durable = _run_fleet(exit_stack, seed, store_dir=str(tmp_path / "stores"))
+        volatile = _run_fleet(exit_stack, seed, store_dir=None)
 
         assert durable.blocks_mined == volatile.blocks_mined
         assert durable.heads() == volatile.heads()
@@ -94,8 +100,8 @@ class TestFullNodeEquivalence:
         assert replay.state.snapshot() == state_v.snapshot()
         assert replay.nonces == nonces_v
 
-    def test_restart_resyncs_only_the_missing_suffix(self, tmp_path):
-        durable = _run_fleet(0, store_dir=str(tmp_path / "stores"))
+    def test_restart_resyncs_only_the_missing_suffix(self, tmp_path, exit_stack):
+        durable = _run_fleet(exit_stack, 0, store_dir=str(tmp_path / "stores"))
         victim = durable.replicas[VICTIM]
         # The store held everything up to the crash; the peer resync
         # must not have re-fetched the whole chain from genesis.
@@ -105,12 +111,12 @@ class TestFullNodeEquivalence:
 class TestLightReplicaEquivalence:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_header_store_matches_storeless_light_client(
-        self, seed, tmp_path
+        self, seed, tmp_path, exit_stack
     ):
         durable = _run_fleet(
-            seed, store_dir=str(tmp_path / "stores"), light_count=2
+            exit_stack, seed, store_dir=str(tmp_path / "stores"), light_count=2
         )
-        volatile = _run_fleet(seed, store_dir=None, light_count=2)
+        volatile = _run_fleet(exit_stack, seed, store_dir=None, light_count=2)
 
         assert durable.light_heads() == volatile.light_heads()
         crashed_light = durable.light_replicas["light-0"]
@@ -124,16 +130,22 @@ class TestLightReplicaEquivalence:
 
 
 class TestDeploymentMempoolEquivalence:
-    def _run_deployment(self, seed, store_dir):
+    def _run_deployment(self, stack, seed, store_dir):
         deployment = DecentralizedDeployment(
             PAPER_HASHPOWER_SHARES,
             build_detector_fleet(thread_counts=(5, 8), seed=seed),
             latency=ConstantLatency(0.05),
             seed=seed,
             confirmation_depth=4,
-            store_dir=store_dir,
-            store_snapshot_interval=4,
+            spec=FleetSpec(
+                full_nodes=len(PAPER_HASHPOWER_SHARES),
+                store_dir=store_dir,
+                store_snapshot_interval=4,
+            ),
         )
+        for provider in deployment.providers.values():
+            if provider.store is not None:
+                stack.callback(provider.store.close)
         system = build_system(
             "disk-sys", vulnerability_count=3, rng=random.Random(seed + 1)
         )
@@ -146,9 +158,9 @@ class TestDeploymentMempoolEquivalence:
         return deployment
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_mempool_revalidation_matches(self, seed, tmp_path):
-        durable = self._run_deployment(seed, str(tmp_path / "stores"))
-        volatile = self._run_deployment(seed, None)
+    def test_mempool_revalidation_matches(self, seed, tmp_path, exit_stack):
+        durable = self._run_deployment(exit_stack, seed, str(tmp_path / "stores"))
+        volatile = self._run_deployment(exit_stack, seed, None)
 
         for name in durable.providers:
             ours = durable.providers[name]

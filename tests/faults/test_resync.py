@@ -8,10 +8,11 @@ from repro.chain.block import Block, ChainRecord, RecordKind
 from repro.chain.chain import Blockchain
 from repro.chain.consensus import make_genesis
 from repro.chain.pow import PAPER_HASHPOWER_SHARES
-from repro.core.distributed import DistributedChain, ReplicaNode
+from repro.core.distributed import ReplicaNode
 from repro.crypto.hashing import hash_fields
 from repro.crypto.keys import KeyPair
 from repro.network.latency import ConstantLatency
+from repro.shard import FleetSpec, ShardedSimulator
 
 MINER = KeyPair.from_seed(b"resync-miner").address
 
@@ -25,7 +26,8 @@ def _record(tag: str) -> ChainRecord:
 
 
 def _net(seed=0, **kwargs):
-    return DistributedChain(
+    return ShardedSimulator(
+        FleetSpec(full_nodes=len(PAPER_HASHPOWER_SHARES)),
         PAPER_HASHPOWER_SHARES,
         latency=ConstantLatency(0.05),
         seed=seed,

@@ -8,9 +8,9 @@ seed)."""
 
 from repro.chain.block import ChainRecord, RecordKind
 from repro.chain.pow import PAPER_HASHPOWER_SHARES
-from repro.core.distributed import DistributedChain
 from repro.crypto.hashing import hash_fields
 from repro.network.latency import ConstantLatency
+from repro.shard import FleetSpec, ShardedSimulator
 
 
 def _record_check(record: ChainRecord) -> bool:
@@ -18,8 +18,9 @@ def _record_check(record: ChainRecord) -> bool:
     return record.payload != b"forged"
 
 
-def _scenario(seed: int = 2) -> DistributedChain:
-    return DistributedChain(
+def _scenario(seed: int = 2) -> ShardedSimulator:
+    return ShardedSimulator(
+        FleetSpec(full_nodes=len(PAPER_HASHPOWER_SHARES)),
         PAPER_HASHPOWER_SHARES,
         record_check=_record_check,
         byzantine={"provider-5"},

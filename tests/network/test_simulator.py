@@ -103,6 +103,14 @@ class TestControl:
         sim.advance()
         assert seen == [12.0]
 
+    def test_advance_verbs_return_event_counts(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        sim.schedule_at(2.0, lambda: None)
+        assert sim.advance_for(1.5) == 1
+        assert sim.advance_until(3.0) == 1
+        assert sim.advance() == 0
+
 
 class TestCancellationAccounting:
     """The cancelled-event leak fix: live pending count + heap compaction."""

@@ -15,7 +15,6 @@ import tempfile
 
 import pytest
 
-from repro.core.distributed import DistributedChain
 from repro.core.lightclient import HeaderChain
 from repro.query import (
     QueryError,
@@ -23,6 +22,7 @@ from repro.query import (
     QueryService,
     StalenessBound,
 )
+from repro.shard import FleetSpec, ShardedSimulator
 from repro.telemetry import Telemetry
 
 from tests.query.conftest import build_mixed_chain, extend_mixed
@@ -121,17 +121,15 @@ class TestMaxStaleness:
 
 
 class TestLightReplica:
-    def _fleet(self, seed=5, blocks=12):
-        directory = tempfile.mkdtemp()
-        fleet = DistributedChain(
-            {"a": 0.5, "b": 0.5}, seed=seed, light_count=1, store_dir=directory
-        )
-        fleet.run_blocks(blocks)
-        fleet.finalize()
-        return fleet
+    @pytest.fixture
+    def fleet(self, tmp_path):
+        spec = FleetSpec(full_nodes=2, light_nodes=1, store_dir=str(tmp_path))
+        with ShardedSimulator(spec, {"a": 0.5, "b": 0.5}, seed=5) as fleet:
+            fleet.run_blocks(12)
+            fleet.finalize()
+            yield fleet
 
-    def test_light_replica_serves_header_surface(self):
-        fleet = self._fleet()
+    def test_light_replica_serves_header_surface(self, fleet):
         svc = fleet.query_service("light-0")
         head = svc.serve(QueryRequest.head())
         assert head.ok and head.staleness.height_lag == 0
@@ -141,8 +139,7 @@ class TestLightReplica:
         by_hash = svc.serve(QueryRequest.get_block(head.result["hash"]))
         assert by_hash.ok and by_hash.result["hash"] == head.result["hash"]
 
-    def test_light_replica_rejects_full_surface(self):
-        fleet = self._fleet()
+    def test_light_replica_rejects_full_surface(self, fleet):
         svc = fleet.query_service("light-0")
         for request in (
             QueryRequest.get_reports(),
@@ -192,8 +189,7 @@ class TestLightReplica:
         response = svc.serve(QueryRequest.head())
         assert not response.ok and "no headers" in response.error
 
-    def test_persist_index_refused_for_light_replica(self):
-        fleet = self._fleet()
+    def test_persist_index_refused_for_light_replica(self, fleet):
         with tempfile.TemporaryDirectory() as directory:
             svc = fleet.query_service("light-0", index_dir=directory)
             with pytest.raises(QueryError, match="light"):
@@ -201,12 +197,12 @@ class TestLightReplica:
 
 
 class TestFleetStaleness:
-    def test_replica_mid_outage_lags_the_heaviest(self):
+    def test_replica_mid_outage_lags_the_heaviest(self, tmp_path, exit_stack):
         """Crash a replica, grow the fleet past it, and read its lag
         the moment it restarts — before resync closes the gap."""
-        directory = tempfile.mkdtemp()
-        fleet = DistributedChain(
-            {"a": 0.5, "b": 0.5}, seed=11, store_dir=directory
+        spec = FleetSpec(full_nodes=2, store_dir=str(tmp_path))
+        fleet = exit_stack.enter_context(
+            ShardedSimulator(spec, {"a": 0.5, "b": 0.5}, seed=11)
         )
         fleet.run_blocks(10)
         fleet.finalize()

@@ -7,7 +7,8 @@ asserts it is bit-identical to what these tests pin down.
 
 import pytest
 
-from repro.chain.block import Block
+from repro.chain.block import Block, ChainRecord, RecordKind
+from repro.crypto.hashing import hash_fields
 from repro.network.config import NetworkConfig
 from repro.shard import FleetSpec, ShardedSimulator
 from repro.telemetry import Telemetry
@@ -29,15 +30,24 @@ class TestConstruction:
         with pytest.raises(TypeError, match="FleetSpec"):
             ShardedSimulator({"provider-0": 1.0})
 
-    def test_validates_jobs_and_barrier(self):
+    def test_validates_jobs(self):
         with pytest.raises(ValueError, match="jobs"):
             ShardedSimulator(_spec(), jobs=0)
-        with pytest.raises(ValueError, match="barrier_interval"):
-            ShardedSimulator(_spec(), barrier_interval=0.0)
 
     def test_shares_must_match_the_spec(self):
         with pytest.raises(ValueError, match="full nodes"):
             ShardedSimulator(_spec(), shares={"alice": 1.0})
+
+    def test_shares_name_the_full_nodes(self):
+        shares = {"alice": 3.0, "bob": 2.0, "carol": 1.0}
+        spec = FleetSpec(full_nodes=3, light_nodes=2)
+        with ShardedSimulator(spec, shares) as fleet:
+            assert list(fleet.replicas) == ["alice", "bob", "carol"]
+            assert sorted(fleet.light_replicas) == ["light-0", "light-1"]
+        with pytest.raises(ValueError, match="clash"):
+            ShardedSimulator(
+                FleetSpec(full_nodes=1, light_nodes=1), {"light-0": 1.0}
+            )
 
     def test_byzantine_names_must_exist(self):
         with pytest.raises(ValueError, match="byzantine"):
@@ -59,6 +69,15 @@ class TestConstruction:
             assert owned == sorted(
                 fleet.spec.full_names() + fleet.spec.light_names()
             )
+
+    def test_single_loop_views_need_one_shard(self):
+        with ShardedSimulator(_spec(), jobs=1) as fleet:
+            assert len(fleet.replicas) == 6
+            with pytest.raises(RuntimeError, match="2-shard"):
+                fleet.simulator
+        with ShardedSimulator(_spec(shards=1)) as fleet:
+            assert fleet.simulator is fleet.shard_states[0].simulator
+            assert fleet.network is fleet.shard_states[0].network
 
 
 class TestTimeControl:
@@ -129,6 +148,33 @@ class TestMiningDrive:
             assert fleet.run_blocks(3) == [None, None, None]
             assert fleet.blocks_mined == 0
             assert fleet.now > before
+
+    def test_winner_crashed_through_the_network_keeps_the_mempool(self):
+        # Crash state lives on the node alone, so a member crashed
+        # behind the engine's back (the FaultInjector path) mines
+        # nothing and the round's records wait for a live winner.
+        records = [
+            ChainRecord(
+                kind=RecordKind.DETAILED_REPORT,
+                record_id=hash_fields("queued", index),
+                payload=b"report",
+            )
+            for index in range(12)
+        ]
+        with ShardedSimulator(FleetSpec(full_nodes=2), seed=4) as fleet:
+            fleet.network.crash_node("provider-0")
+            outcomes = []
+            for record in records:
+                fleet.submit_record(record)
+                outcomes.append(fleet.step())
+            assert None in outcomes  # the dead miner won some rounds
+            while fleet.step() is None:
+                pass
+            chain = fleet.replicas["provider-1"].chain
+            assert all(
+                chain.locate_record(record.record_id) is not None
+                for record in records
+            )
 
     def test_crash_and_restart_round_trip(self):
         with ShardedSimulator(_spec(), seed=5) as fleet:

@@ -1,14 +1,14 @@
 """The sharded engine's parity contract, seed for seed.
 
-Three tiers, each asserted at the bit level across 3 seeds:
+Asserted at the bit level across 3 seeds (the one-shard trajectories
+are pinned separately, in ``test_serial_digests.py``):
 
 1. ``jobs`` is pure parallelism — a fleet spread over worker processes
    is identical to the serial ``jobs=1`` oracle: heads, serialized
    confirmed chains, replayed ledger state, light tips, replica
    counters, and merged gossip summaries.
-2. A one-shard fleet is identical to the single-process
-   :class:`DistributedChain` — the sharded engine draws the same rng
-   stream, so the anchor holds draw for draw.
+2. The shard count is configuration — each count is deterministic in
+   its own right.
 3. Persistence is invisible — a store-backed fleet walks the same
    trajectory as the in-memory one (stores draw no randomness).
 """
@@ -17,8 +17,6 @@ import pytest
 
 from repro.chain.ledger import LedgerStateMachine
 from repro.chain.serialization import import_chain
-from repro.core.distributed import DistributedChain
-from repro.faults.invariants import confirmed_chain_bytes
 from repro.network.config import NetworkConfig
 from repro.shard import FleetSpec, ShardedSimulator
 
@@ -83,26 +81,7 @@ class TestJobsParity:
         assert _run(spec, 2, jobs=1) == _run(spec, 2, jobs=2)
 
 
-class TestUnshardedAnchor:
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_one_shard_matches_distributed_chain(self, seed):
-        spec = _spec(shards=1)
-        sharded = _run(spec, seed, jobs=1)
-        single = DistributedChain(spec=spec, seed=seed)
-        single.run_blocks(BLOCKS)
-        single.finalize()
-        assert sharded["heads"] == single.heads()
-        assert sharded["light_tips"] == {
-            name: light.tip_id()
-            for name, light in single.light_replicas.items()
-        }
-        assert sharded["chains"] == {
-            name: confirmed_chain_bytes(replica.chain)
-            for name, replica in single.replicas.items()
-        }
-        assert sharded["summary"] == single.network.summary()
-        assert sharded["blocks_mined"] == single.blocks_mined
-
+class TestShardCount:
     def test_shard_count_is_config_not_noise(self):
         # Different shard counts are different experiments (barrier
         # batching quantizes cross-shard arrivals), but each is

@@ -1,27 +1,15 @@
-"""FleetSpec: one fleet-shape object, consumed by every engine.
+"""FleetSpec: one fleet-shape object, consumed by every fleet.
 
-Covers the frozen dataclass's validation and derived shape, plus the
-API-migration contract: ``DistributedChain`` and
-``DecentralizedDeployment`` accept ``spec=``, reject mixed spellings,
-and keep the legacy kwargs working behind warn-once deprecation shims.
+Covers the frozen dataclass's validation and derived shape, plus how
+``DecentralizedDeployment`` takes its persistence from ``spec=`` and
+rejects the shapes it does not model.
 """
-
-import warnings
 
 import pytest
 
-from repro.compat import _reset_warned
-from repro.core.distributed import DistributedChain
 from repro.core.stakeholders import DecentralizedDeployment
 from repro.network.config import NetworkConfig
 from repro.shard import FleetSpec
-
-
-@pytest.fixture(autouse=True)
-def _fresh_warning_state():
-    _reset_warned()
-    yield
-    _reset_warned()
 
 
 class TestValidation:
@@ -83,53 +71,6 @@ class TestDerivedShape:
         assert len({FleetSpec(full_nodes=2), FleetSpec(full_nodes=2)}) == 1
 
 
-class TestDistributedChainAdoption:
-    def test_spec_matches_legacy_construction_bit_for_bit(self):
-        spec = FleetSpec(
-            full_nodes=4, light_nodes=3, network=NetworkConfig.large_fleet()
-        )
-        via_spec = DistributedChain(spec=spec, seed=7)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            via_kwargs = DistributedChain(
-                {name: 1.0 for name in spec.full_names()},
-                network=spec.network,
-                light_count=3,
-                seed=7,
-            )
-        via_spec.run_blocks(6)
-        via_spec.settle()
-        via_kwargs.run_blocks(6)
-        via_kwargs.settle()
-        assert via_spec.heads() == via_kwargs.heads()
-        assert via_spec.spec is spec
-        assert via_kwargs.spec is None
-
-    def test_custom_shares_must_cover_the_spec(self):
-        spec = FleetSpec(full_nodes=3)
-        shares = {name: share for name, share in zip(spec.full_names(), (3, 2, 1))}
-        net = DistributedChain(shares, spec=spec, seed=1)
-        assert set(net.replicas) == set(spec.full_names())
-        with pytest.raises(ValueError, match="full_names"):
-            DistributedChain({"alice": 1.0}, spec=spec)
-
-    def test_rejects_mixed_spellings(self):
-        with pytest.raises(ValueError, match="light_count"):
-            DistributedChain(spec=FleetSpec(full_nodes=2), light_count=1)
-
-    def test_rejects_a_sharded_spec(self):
-        with pytest.raises(ValueError, match="ShardedSimulator"):
-            DistributedChain(spec=FleetSpec(full_nodes=4, shards=2))
-
-    def test_needs_shares_or_spec(self):
-        with pytest.raises(TypeError, match="shares= or spec="):
-            DistributedChain()
-
-    def test_rejects_a_non_spec(self):
-        with pytest.raises(TypeError, match="FleetSpec"):
-            DistributedChain(spec={"full_nodes": 2})
-
-
 class TestDeploymentAdoption:
     def test_spec_supplies_persistence(self, tmp_path):
         spec = FleetSpec(full_nodes=2, store_dir=str(tmp_path / "fleet"))
@@ -140,6 +81,7 @@ class TestDeploymentAdoption:
         assert deployment.spec is spec
         for provider in deployment.providers.values():
             assert provider.store is not None
+            provider.store.close()
 
     def test_rejects_lights_and_shards(self):
         with pytest.raises(ValueError, match="light replicas"):
@@ -151,38 +93,6 @@ class TestDeploymentAdoption:
                 {"p1": 1.0}, [], spec=FleetSpec(full_nodes=2, shards=2)
             )
 
-    def test_rejects_mixed_spellings(self, tmp_path):
-        with pytest.raises(ValueError, match="store_dir"):
-            DecentralizedDeployment(
-                {"p1": 1.0},
-                [],
-                spec=FleetSpec(full_nodes=1),
-                store_dir=str(tmp_path),
-            )
-
-
-class TestDeprecationShims:
-    def test_legacy_fleet_kwarg_warns_once(self):
-        shares = {"p1": 1.0}
-        with pytest.warns(DeprecationWarning, match="DistributedChain"):
-            DistributedChain(shares, topology_kind="ring")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            DistributedChain(shares, topology_kind="ring")
-
-    def test_each_spelling_warns_separately(self):
-        shares = {"p1": 1.0}
-        with pytest.warns(DeprecationWarning, match="light_count"):
-            DistributedChain(shares, light_count=1)
-        with pytest.warns(DeprecationWarning, match="network"):
-            DistributedChain(shares, network=NetworkConfig())
-
-    def test_deployment_store_kwargs_warn(self, tmp_path):
-        with pytest.warns(DeprecationWarning, match="store_dir"):
-            DecentralizedDeployment({"p1": 1.0}, [], store_dir=str(tmp_path))
-
-    def test_spec_path_stays_silent(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            DistributedChain(spec=FleetSpec(full_nodes=2), seed=3)
-            DecentralizedDeployment({"p1": 1.0}, [], spec=FleetSpec(full_nodes=1))
+    def test_rejects_a_non_spec(self):
+        with pytest.raises(TypeError, match="FleetSpec"):
+            DecentralizedDeployment({"p1": 1.0}, [], spec={"full_nodes": 1})

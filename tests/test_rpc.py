@@ -274,19 +274,25 @@ class TestNodeBoundShim:
     a KeyError from a stale chain object.
     """
 
-    def _fleet(self, tmp_path, seed=0):
+    def _fleet(self, stack, tmp_path, seed=0):
         from repro.chain.block import ChainRecord, RecordKind
-        from repro.core.distributed import DistributedChain
         from repro.crypto.hashing import hash_fields
         from repro.network.latency import ConstantLatency
+        from repro.shard import FleetSpec, ShardedSimulator
 
-        fleet = DistributedChain(
-            PAPER_HASHPOWER_SHARES,
-            latency=ConstantLatency(0.05),
-            seed=seed,
-            confirmation_depth=4,
+        spec = FleetSpec(
+            full_nodes=len(PAPER_HASHPOWER_SHARES),
             store_dir=str(tmp_path / "stores"),
             store_snapshot_interval=4,
+        )
+        fleet = stack.enter_context(
+            ShardedSimulator(
+                spec,
+                PAPER_HASHPOWER_SHARES,
+                latency=ConstantLatency(0.05),
+                seed=seed,
+                confirmation_depth=4,
+            )
         )
         record = ChainRecord(
             kind=RecordKind.INITIAL_REPORT,
@@ -298,8 +304,8 @@ class TestNodeBoundShim:
         fleet.finalize()
         return fleet, record
 
-    def test_receipt_survives_restart_from_disk(self, tmp_path):
-        fleet, record = self._fleet(tmp_path)
+    def test_receipt_survives_restart_from_disk(self, tmp_path, exit_stack):
+        fleet, record = self._fleet(exit_stack, tmp_path)
         node = fleet.replicas["provider-2"]
         w3 = Web3Shim.connect_node(node)
         before = w3.eth.get_transaction_receipt(record.record_id)
@@ -318,8 +324,8 @@ class TestNodeBoundShim:
         assert after["transactionHash"] == before["transactionHash"]
         assert after["status"] == 1
 
-    def test_crashed_node_raises_not_keyerror(self, tmp_path):
-        fleet, record = self._fleet(tmp_path)
+    def test_crashed_node_raises_not_keyerror(self, tmp_path, exit_stack):
+        fleet, record = self._fleet(exit_stack, tmp_path)
         node = fleet.replicas["provider-2"]
         w3 = Web3Shim.connect_node(node)
         fleet.crash("provider-2")
@@ -334,11 +340,13 @@ class TestNodeBoundShim:
         assert w3.is_connected()
         assert w3.eth.get_transaction_receipt(record.record_id)["status"] == 1
 
-    def test_empty_store_restart_answers_unknown_not_keyerror(self, tmp_path):
+    def test_empty_store_restart_answers_unknown_not_keyerror(
+        self, tmp_path, exit_stack
+    ):
         # Wipe the victim's log while it is down: it restarts from an
         # empty store (genesis) and resyncs.  Queries fired mid-window
         # must stay documented errors, never KeyError.
-        fleet, record = self._fleet(tmp_path)
+        fleet, record = self._fleet(exit_stack, tmp_path)
         node = fleet.replicas["provider-2"]
         w3 = Web3Shim.connect_node(node)
         fleet.crash("provider-2")
@@ -352,28 +360,28 @@ class TestNodeBoundShim:
         with pytest.raises(RpcError, match="not found on the canonical chain"):
             w3.eth.get_transaction(b"\x00" * 32)
 
-    def test_node_without_mempool_is_a_documented_error(self, tmp_path):
-        fleet, _ = self._fleet(tmp_path)
+    def test_node_without_mempool_is_a_documented_error(self, tmp_path, exit_stack):
+        fleet, _ = self._fleet(exit_stack, tmp_path)
         node = fleet.replicas["provider-1"]  # ReplicaNode: no mempool
         w3 = Web3Shim.connect_node(node)
         with pytest.raises(RpcError, match="no mempool attached"):
             w3.eth.get_pending_transactions()
 
-    def test_light_client_cannot_be_connected(self, tmp_path):
-        from repro.core.distributed import DistributedChain
+    def test_light_client_cannot_be_connected(self):
         from repro.network.latency import ConstantLatency
+        from repro.shard import FleetSpec, ShardedSimulator
 
-        fleet = DistributedChain(
+        fleet = ShardedSimulator(
+            FleetSpec(full_nodes=len(PAPER_HASHPOWER_SHARES), light_nodes=1),
             PAPER_HASHPOWER_SHARES,
             latency=ConstantLatency(0.05),
             seed=0,
-            light_count=1,
         )
         with pytest.raises(RpcError, match="light clients cannot"):
             Web3Shim.connect_node(fleet.light_replicas["light-0"])
 
-    def test_deploy_without_runtime_is_documented(self, tmp_path):
-        fleet, _ = self._fleet(tmp_path)
+    def test_deploy_without_runtime_is_documented(self, tmp_path, exit_stack):
+        fleet, _ = self._fleet(exit_stack, tmp_path)
         w3 = Web3Shim.connect_node(fleet.replicas["provider-1"])
         with pytest.raises(RpcError):
             w3.eth.deploy_contract(None, "0x" + "00" * 20)
