@@ -4,9 +4,15 @@ Not paper figures — these watch the cost of the hot paths every
 experiment leans on (signing, Merkle trees, block validation, the
 mining model, and a full platform release lifecycle), so a substrate
 regression shows up here before it distorts the figure benches.
+
+The ECDSA fast paths are also gated against the double-and-add ladder
+they replaced (``tests/crypto/ladder.py``), after asserting parity.
+Run from the repository root so ``tests`` is importable:
+``PYTHONPATH=src python -m pytest -q benchmarks -m bench``.
 """
 
 import random
+from time import perf_counter
 
 import pytest
 
@@ -17,9 +23,11 @@ from repro.chain.merkle import MerkleTree
 from repro.chain.pow import PAPER_HASHPOWER_SHARES, mine_block
 from repro.chain.validation import BlockValidator
 from repro.core import PlatformConfig, SmartCrowdPlatform
+from repro.crypto import ecdsa
 from repro.crypto.hashing import hash_fields
 from repro.crypto.keys import KeyPair
 from repro.detection import build_detector_fleet, build_system
+from tests.crypto.ladder import ladder_mult, ladder_sign, ladder_verify
 
 KEYS = KeyPair.from_seed(b"bench-keys")
 DIGEST = hash_fields("bench-message")
@@ -33,6 +41,39 @@ def test_bench_ecdsa_sign(benchmark):
 def test_bench_ecdsa_verify(benchmark):
     signature = KEYS.sign(DIGEST)
     assert benchmark(KEYS.verify, DIGEST, signature)
+
+
+def _best_per_call(fn, *args, number=20, repeats=5):
+    best = float("inf")
+    for _ in range(repeats):
+        start = perf_counter()
+        for _ in range(number):
+            fn(*args)
+        best = min(best, (perf_counter() - start) / number)
+    return best
+
+
+@pytest.mark.bench
+def test_bench_ecdsa_fast_paths_vs_ladder():
+    """Fixed-base ``sign`` >= 4x and cold ``verify`` >= 2x the ladder."""
+    scalar = KEYS.private.scalar
+    public = KEYS.public.point
+    signature = ecdsa.sign(scalar, DIGEST)
+    # Parity first (this also builds the G table outside the timing).
+    assert signature == ladder_sign(scalar, DIGEST)
+    assert public == ladder_mult(scalar, ecdsa.CURVE.g)
+    assert ecdsa.verify(public, DIGEST, signature)
+    assert ladder_verify(public, DIGEST, signature)
+
+    sign_ratio = _best_per_call(ladder_sign, scalar, DIGEST) / _best_per_call(
+        ecdsa.sign, scalar, DIGEST
+    )
+    verify_ratio = _best_per_call(
+        ladder_verify, public, DIGEST, signature
+    ) / _best_per_call(ecdsa.verify, public, DIGEST, signature)
+    print(f"sign {sign_ratio:.1f}x, verify {verify_ratio:.1f}x vs the ladder")
+    assert sign_ratio >= 4.0
+    assert verify_ratio >= 2.0
 
 
 def test_bench_merkle_tree_256_leaves(benchmark):

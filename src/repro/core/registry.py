@@ -5,15 +5,27 @@ consumer) has long-time lived public key pk and private key sk" (§V-A).
 Verifiers resolve an entity id (``P_i``, ``D_i``) to its public key
 through this registry — the reproduction's stand-in for whatever PKI or
 on-chain key registration a deployment would use.
+
+The registry also remembers which signatures it has checked.  Every
+provider replica of a deployment runs Algorithm 1 on the same R† and
+R*, so :meth:`IdentityRegistry.verify_signature` pays for each distinct
+signature once.  The memo is per registry — one per deployment or
+platform — so a new deployment starts cold.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Dict, Iterator, Optional, Tuple
 
+from repro.crypto.ecdsa import Signature
 from repro.crypto.keys import Address, PublicKey
 
-__all__ = ["IdentityRegistry"]
+__all__ = ["IdentityRegistry", "SIGNATURE_MEMO_SIZE"]
+
+#: Verified-signature outcomes each registry keeps (least recently used
+#: evicted first).
+SIGNATURE_MEMO_SIZE = 4096
 
 
 class IdentityRegistry:
@@ -22,6 +34,8 @@ class IdentityRegistry:
     def __init__(self) -> None:
         self._keys: Dict[str, PublicKey] = {}
         self._wallets: Dict[str, Address] = {}
+        #: (key point, digest, r, s) -> the outcome of ``PublicKey.verify``.
+        self._verified: "OrderedDict[tuple, bool]" = OrderedDict()
 
     def __contains__(self, entity_id: str) -> bool:
         return entity_id in self._keys
@@ -58,3 +72,23 @@ class IdentityRegistry:
     def entities(self) -> Iterator[Tuple[str, PublicKey]]:
         """Iterate all registered (id, key) pairs."""
         return iter(self._keys.items())
+
+    def verify_signature(
+        self, public_key: PublicKey, digest: bytes, signature: Signature
+    ) -> bool:
+        """``public_key.verify(digest, signature)``, memoised on this registry.
+
+        The memo key is the full input, and both outcomes are kept, so a
+        hit returns exactly what a fresh check would.
+        """
+        key = (public_key.point, digest, signature.r, signature.s)
+        memo = self._verified
+        outcome = memo.get(key)
+        if outcome is not None:
+            memo.move_to_end(key)
+            return outcome
+        outcome = public_key.verify(digest, signature)
+        memo[key] = outcome
+        if len(memo) > SIGNATURE_MEMO_SIZE:
+            memo.popitem(last=False)
+        return outcome

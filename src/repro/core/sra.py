@@ -15,13 +15,16 @@ signature, check ``U_h`` against the downloaded artifact — is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.codec import pack, unpack
 from repro.crypto.ecdsa import Signature
 from repro.crypto.hashing import hash_fields, sha3_256
 from repro.crypto.keys import KeyPair, PublicKey
 from repro.detection.iot_system import IoTSystem
+
+if TYPE_CHECKING:
+    from repro.core.registry import IdentityRegistry
 
 __all__ = ["SRA", "SignedSRA", "make_sra"]
 
@@ -64,17 +67,22 @@ class SignedSRA:
         """The announced Δ_id (verify before trusting)."""
         return self.claimed_id
 
-    def verify(self, provider_key: PublicKey) -> bool:
+    def verify(
+        self, provider_key: PublicKey, registry: Optional["IdentityRegistry"] = None
+    ) -> bool:
         """Decentralized SRA verification (§V-A).
 
         Recomputes Δ_id from the body and checks P_Sign over it; a
         spoofed announcement — wrong id, tampered field, or a signature
         from someone other than the named provider — fails here and is
-        never propagated.
+        never propagated.  With ``registry`` the signature check goes
+        through its verified-signature memo.
         """
         expected_id = self.body.sra_id()
         if expected_id != self.claimed_id:
             return False
+        if registry is not None:
+            return registry.verify_signature(provider_key, expected_id, self.signature)
         return provider_key.verify(expected_id, self.signature)
 
     def verify_artifact(self, image: bytes) -> bool:

@@ -146,7 +146,7 @@ class ProviderStakeholder(ReplicaNode):
     def _on_sra(self, _node: Node, message: Message) -> None:
         sra: SignedSRA = message.payload
         provider_key = self.registry.public_key(sra.body.provider_id)
-        if provider_key is None or not sra.verify(provider_key):
+        if provider_key is None or not sra.verify(provider_key, self.registry):
             self.rejected_messages += 1
             return
         if sra.sra_id in self.known_sras:

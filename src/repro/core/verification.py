@@ -81,7 +81,9 @@ class ReportVerifier:
         )
         if expected_id != report.report_id:
             return Verdict.drop(VerdictCode.BAD_IDENTIFIER)
-        if not detector_key.verify(report.report_id, report.signature):
+        if not self.registry.verify_signature(
+            detector_key, report.report_id, report.signature
+        ):
             return Verdict.drop(VerdictCode.BAD_SIGNATURE)
         return Verdict.accept()
 
@@ -107,7 +109,9 @@ class ReportVerifier:
         )
         if expected_id != report.report_id:
             return Verdict.drop(VerdictCode.BAD_IDENTIFIER)
-        if not detector_key.verify(report.report_id, report.signature):
+        if not self.registry.verify_signature(
+            detector_key, report.report_id, report.signature
+        ):
             return Verdict.drop(VerdictCode.BAD_SIGNATURE)
         if detailed_report_hash(report) != initial.detailed_hash:
             return Verdict.drop(VerdictCode.COMMITMENT_MISMATCH)

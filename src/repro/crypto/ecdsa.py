@@ -6,11 +6,24 @@ function SHA-3 ... using secp256k1 curve").  No third-party crypto
 library is available offline, so the curve arithmetic is implemented
 here directly:
 
-* Jacobian-coordinate point arithmetic for speed.
+* Jacobian-coordinate point arithmetic; precomputed points are stored
+  affine and added with a mixed Jacobian+affine add.
+* Multiples of the generator G (signing, key derivation, the ``u1·G``
+  half of verification, recovery) read a fixed-base table: one row per
+  8-bit window of the scalar, row ``i`` holding ``d·2^(8i)·G`` for
+  ``d = 1..255``, each row normalised to affine with one batch
+  inversion.  A multiplication is then at most 32 mixed adds and no
+  doublings.  The table (~8k points, ~50 ms) is built on the first
+  multiplication of G and cached for the process — never at import.
+* Any other point is multiplied through a width-5 wNAF over its odd
+  multiples ``P, 3P, ..., 15P``.  ``verify`` sums ``u1·G`` (table) and
+  ``u2·Q`` (wNAF) in Jacobian form and inverts once.
 * RFC 6979 deterministic nonces, so signing is reproducible and never
   leaks the key through a bad RNG.
 * Low-``s`` normalization (as Ethereum does) so signatures are
   non-malleable: ``verify`` rejects high-``s`` signatures.
+* Canonical points only: a coordinate outside ``[0, p)`` is not on the
+  curve, so one key never has two encodings.
 
 This module operates on 32-byte message *digests*; callers hash first
 (see :mod:`repro.crypto.hashing`).
@@ -21,7 +34,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 __all__ = [
     "CURVE",
@@ -152,30 +165,161 @@ def point_add(
     return _from_jacobian(result, curve.p)
 
 
+def _jac_madd(point: _JacPoint, x2: int, y2: int, p: int) -> _JacPoint:
+    """Add the affine point ``(x2, y2)`` to a Jacobian point (mixed add)."""
+    x1, y1, z1 = point
+    if z1 == 0:
+        return (x2, y2, 1)
+    z1_sq = (z1 * z1) % p
+    h = (x2 * z1_sq - x1) % p
+    r = (y2 * z1_sq * z1 - y1) % p
+    if h == 0:
+        if r != 0:
+            return _JAC_INFINITY
+        return _jac_double(point, p)
+    h_sq = (h * h) % p
+    h_cu = (h_sq * h) % p
+    v = (x1 * h_sq) % p
+    x3 = (r * r - h_cu - 2 * v) % p
+    y3 = (r * (v - x3) - y1 * h_cu) % p
+    return (x3, y3, (z1 * h) % p)
+
+
+def _batch_to_affine(points: Sequence[_JacPoint], p: int) -> List[Tuple[int, int]]:
+    """Normalise finite Jacobian points with one inversion (Montgomery's trick)."""
+    prefix = []
+    product = 1
+    for _, _, z in points:
+        prefix.append(product)
+        product = (product * z) % p
+    inverse = _inv_mod(product, p)
+    affine = []
+    for (x, y, z), before in zip(reversed(points), reversed(prefix)):
+        z_inv = (inverse * before) % p
+        inverse = (inverse * z) % p
+        z_inv_sq = (z_inv * z_inv) % p
+        affine.append(((x * z_inv_sq) % p, (y * z_inv_sq * z_inv) % p))
+    affine.reverse()
+    return affine
+
+
+#: Bits per row of the fixed-base table for G.
+_G_WINDOW = 8
+#: Width of the NAF used for every other point.
+_WNAF_WIDTH = 5
+
+# Row i holds d·2^(_G_WINDOW·i)·G at index d - 1; built lazily.
+_G_TABLE: Optional[List[List[Tuple[int, int]]]] = None
+
+
+def _g_table() -> List[List[Tuple[int, int]]]:
+    global _G_TABLE
+    if _G_TABLE is None:
+        p = CURVE.p
+        rows = []
+        bx, by = CURVE.g
+        for _ in range(-(-CURVE.n.bit_length() // _G_WINDOW)):
+            # 1·B .. 2^w·B; the last one is the next row's base.
+            multiples = [(bx, by, 1)]
+            for _ in range((1 << _G_WINDOW) - 1):
+                multiples.append(_jac_madd(multiples[-1], bx, by, p))
+            affine = _batch_to_affine(multiples, p)
+            bx, by = affine.pop()
+            rows.append(affine)
+        _G_TABLE = rows
+    return _G_TABLE
+
+
+def _g_mult(k: int) -> _JacPoint:
+    """``k·G`` for ``0 <= k < n`` on secp256k1, from the fixed-base table."""
+    p = CURVE.p
+    mask = (1 << _G_WINDOW) - 1
+    accumulator = _JAC_INFINITY
+    for row in _g_table():
+        digit = k & mask
+        if digit:
+            x, y = row[digit - 1]
+            accumulator = _jac_madd(accumulator, x, y, p)
+        k >>= _G_WINDOW
+    return accumulator
+
+
+def _wnaf(k: int) -> List[int]:
+    """Width-:data:`_WNAF_WIDTH` NAF digits of ``k >= 0``, least significant first.
+
+    Every nonzero digit is odd with ``|digit| < 2^(w-1)``, and any two
+    nonzero digits are at least ``w`` positions apart.
+    """
+    full = 1 << _WNAF_WIDTH
+    digits = []
+    while k:
+        digit = 0
+        if k & 1:
+            digit = k & (full - 1)
+            if digit >= full >> 1:
+                digit -= full
+            k -= digit
+        digits.append(digit)
+        k >>= 1
+    return digits
+
+
+def _wnaf_mult(k: int, point: Tuple[int, int], p: int) -> _JacPoint:
+    """``k·point`` for ``0 <= k < n`` by wNAF over affine odd multiples."""
+    base = _to_jacobian(point)
+    twice = _jac_double(base, p)
+    odd = [base]
+    for _ in range((1 << (_WNAF_WIDTH - 2)) - 1):
+        odd.append(_jac_add(odd[-1], twice, p))
+    table = _batch_to_affine(odd, p)  # table[i] = (2i + 1)·point
+    accumulator = _JAC_INFINITY
+    for digit in reversed(_wnaf(k)):
+        accumulator = _jac_double(accumulator, p)
+        if digit > 0:
+            x, y = table[digit >> 1]
+            accumulator = _jac_madd(accumulator, x, y, p)
+        elif digit < 0:
+            x, y = table[-digit >> 1]
+            accumulator = _jac_madd(accumulator, x, p - y, p)
+    return accumulator
+
+
+def _mult(k: int, point: Tuple[int, int], curve: CurveParams) -> _JacPoint:
+    """``k·point`` for ``0 <= k < n``: the G table when it applies, else wNAF."""
+    if point == curve.g and curve == CURVE:
+        return _g_mult(k)
+    return _wnaf_mult(k, point, curve.p)
+
+
 def scalar_mult(
     k: int,
     point: Optional[Tuple[int, int]],
     curve: CurveParams = CURVE,
 ) -> Optional[Tuple[int, int]]:
-    """Compute ``k * point`` using double-and-add in Jacobian coordinates."""
+    """Compute ``k * point``.
+
+    Multiples of secp256k1's generator read the fixed-base table; any
+    other point goes through a width-5 wNAF.  Raises :class:`EcdsaError`
+    for a point that is not on ``curve``.
+    """
     if point is None or k % curve.n == 0:
         return None
-    k %= curve.n
-    accumulator = _JAC_INFINITY
-    addend = _to_jacobian(point)
-    while k:
-        if k & 1:
-            accumulator = _jac_add(accumulator, addend, curve.p)
-        addend = _jac_double(addend, curve.p)
-        k >>= 1
-    return _from_jacobian(accumulator, curve.p)
+    if not is_on_curve(point, curve):
+        raise EcdsaError("point is not on the curve")
+    return _from_jacobian(_mult(k % curve.n, point, curve), curve.p)
 
 
 def is_on_curve(point: Optional[Tuple[int, int]], curve: CurveParams = CURVE) -> bool:
-    """Check curve membership of an affine point."""
+    """Check curve membership of an affine point in canonical form.
+
+    Coordinates must lie in ``[0, p)``: ``x + p`` names the same field
+    element but would give the same key a second encoding and address.
+    """
     if point is None:
         return True
     x, y = point
+    if not (0 <= x < curve.p and 0 <= y < curve.p):
+        return False
     return (y * y - (x * x * x + curve.a * x + curve.b)) % curve.p == 0
 
 
@@ -293,10 +437,9 @@ def verify(
     s_inv = _inv_mod(s, curve.n)
     u1 = (z * s_inv) % curve.n
     u2 = (r * s_inv) % curve.n
-    point = point_add(
-        scalar_mult(u1, curve.g, curve),
-        scalar_mult(u2, public_key, curve),
-        curve,
+    point = _from_jacobian(
+        _jac_add(_mult(u1, curve.g, curve), _mult(u2, public_key, curve), curve.p),
+        curve.p,
     )
     if point is None:
         return False
@@ -319,6 +462,11 @@ def recover_candidates(
     if not (1 <= r < curve.n and 1 <= s < curve.n):
         raise EcdsaError("signature scalars out of range")
     z = _bits_to_int(digest, curve.n) % curve.n
+    # Q = r^-1 (s*R - z*G) = u1*G + u2*R
+    r_inv = _inv_mod(r, curve.n)
+    u1 = (-z * r_inv) % curve.n
+    u2 = (s * r_inv) % curve.n
+    u1_g = _mult(u1, curve.g, curve)
     candidates = []
     for j in range(curve.h + 1):
         x = r + j * curve.n
@@ -330,13 +478,8 @@ def recover_candidates(
         if (y * y) % curve.p != y_sq:
             continue
         for y_candidate in ((y, curve.p - y) if y != 0 else (y,)):
-            point_r = (x, y_candidate)
-            r_inv = _inv_mod(r, curve.n)
-            # Q = r^-1 (s*R - z*G)
-            sr = scalar_mult(s, point_r, curve)
-            zg = scalar_mult(z, curve.g, curve)
-            neg_zg = None if zg is None else (zg[0], (-zg[1]) % curve.p)
-            q_point = scalar_mult(r_inv, point_add(sr, neg_zg, curve), curve)
+            q_jac = _jac_add(u1_g, _mult(u2, (x, y_candidate), curve), curve.p)
+            q_point = _from_jacobian(q_jac, curve.p)
             if q_point is not None and verify(q_point, digest, signature, curve):
                 candidates.append(q_point)
     return tuple(candidates)

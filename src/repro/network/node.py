@@ -54,9 +54,10 @@ class Node:
     def keys(self) -> KeyPair:
         """The node's keypair, derived from its name on first use.
 
-        Derivation is a real secp256k1 scalar multiplication (~2 ms), so
-        a 100k-node fleet must not pay it per node at construction —
-        only the replicas that actually sign (mine) ever touch it.
+        Derivation is a real secp256k1 scalar multiplication (the first
+        in a process also builds the G table), so a 100k-node fleet must
+        not pay it per node at construction — only the replicas that
+        actually sign (mine) ever touch it.
         """
         if self._keys is None:
             self._keys = KeyPair.from_seed(self.name.encode())

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.crypto.ecdsa import EcdsaError
+from repro.crypto.ecdsa import CURVE, EcdsaError
 from repro.crypto.hashing import hash_fields
 from repro.crypto.keys import Address, KeyPair, PrivateKey, PublicKey, Wallet
 
@@ -66,6 +66,22 @@ class TestPublicKey:
     def test_rejects_off_curve(self):
         with pytest.raises(EcdsaError):
             PublicKey((1, 1))
+
+    def test_rejects_non_canonical_encoding(self):
+        # x = 1 is on the curve (y^2 = 8 has a root); x = 1 + p names the
+        # same field element and must not be a second encoding of it.
+        y = pow(8, (CURVE.p + 1) // 4, CURVE.p)
+        assert (y * y) % CURVE.p == 8
+        canonical = PublicKey((1, y))
+        with pytest.raises(EcdsaError):
+            PublicKey.from_bytes((1 + CURVE.p).to_bytes(32, "big") + y.to_bytes(32, "big"))
+        assert PublicKey.from_bytes(canonical.to_bytes()) == canonical
+
+    def test_rejects_negative_coordinate(self):
+        gx, gy = CURVE.g
+        with pytest.raises(EcdsaError):
+            PublicKey((gx, -gy))
+        assert PublicKey((gx, CURVE.p - gy)).to_bytes()
 
     def test_address_is_20_bytes(self):
         public = PrivateKey.from_seed(b"k").public_key()
