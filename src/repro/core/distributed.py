@@ -57,6 +57,30 @@ def _interleave(full_names: List[str], light_names: List[str]) -> List[str]:
     return merged
 
 
+def heaviest_peer(network, name: str) -> Optional[Node]:
+    """The reachable, alive neighbor of ``name`` with the heaviest chain.
+
+    Neighbors that are unknown, crashed or chainless are skipped; on a
+    tie the first neighbor seen wins.  None without a network.
+    """
+    if network is None or not hasattr(network, "neighbors"):
+        return None
+    best: Optional[Node] = None
+    for peer_name in network.neighbors(name):
+        try:
+            peer = network.node(peer_name)
+        except KeyError:
+            continue
+        if getattr(peer, "crashed", False):
+            continue
+        peer_chain = getattr(peer, "chain", None)
+        if peer_chain is None:
+            continue
+        if best is None or peer_chain.total_difficulty() > best.chain.total_difficulty():
+            best = peer
+    return best
+
+
 class ReplicaNode(Node):
     """A provider node holding a full chain replica.
 
@@ -123,7 +147,7 @@ class ReplicaNode(Node):
             # the gap from the heaviest reachable peer instead — the
             # same headers-first walk used after a restart.
             if block.height > self.chain.height + 1 and not self._resyncing:
-                peer = self._best_peer()
+                peer = heaviest_peer(self.network, self.name)
                 if (
                     peer is not None
                     and peer.chain.total_difficulty() > self.chain.total_difficulty()
@@ -181,7 +205,7 @@ class ReplicaNode(Node):
         """
         if self.store is not None:
             self._recover_from_store()
-        peer = self._best_peer()
+        peer = heaviest_peer(self.network, self.name)
         if peer is not None:
             self.resync_from(peer)
 
@@ -203,26 +227,6 @@ class ReplicaNode(Node):
         self.chain = chain
         self._orphans = {}
         self.store_recoveries += 1
-
-    def _best_peer(self) -> Optional["ReplicaNode"]:
-        """The reachable, alive neighbor with the heaviest chain."""
-        network = self.network
-        if network is None or not hasattr(network, "neighbors"):
-            return None
-        best: Optional[ReplicaNode] = None
-        for peer_name in network.neighbors(self.name):
-            try:
-                peer = network.node(peer_name)
-            except KeyError:
-                continue
-            if getattr(peer, "crashed", False):
-                continue
-            peer_chain = getattr(peer, "chain", None)
-            if peer_chain is None:
-                continue
-            if best is None or peer_chain.total_difficulty() > best.chain.total_difficulty():
-                best = peer
-        return best
 
     def resync_from(self, peer: "ReplicaNode") -> int:
         """Adopt the peer's canonical chain, headers first.

@@ -39,7 +39,7 @@ from repro.chain.pow import MiningModel
 from repro.contracts.smartcrowd_contract import SmartCrowdContract
 from repro.contracts.vm import ContractRuntime
 from repro.core.consumer import ConsumerClient, SecurityReference
-from repro.core.distributed import ReplicaNode
+from repro.core.distributed import ReplicaNode, heaviest_peer
 from repro.core.registry import IdentityRegistry
 from repro.core.reports import DetailedReport, InitialReport, build_report_pair
 from repro.core.sra import SignedSRA, make_sra
@@ -450,25 +450,10 @@ class DetectorStakeholder(Node):
         or dropped) would otherwise leave ``_record_heights`` stale and
         stall phase II forever.
         """
-        network = self.network
-        if network is None or not hasattr(network, "neighbors"):
+        peer = heaviest_peer(self.network, self.name)
+        if peer is None:
             return False
-        best = None
-        for peer_name in network.neighbors(self.name):
-            try:
-                peer = network.node(peer_name)
-            except KeyError:
-                continue
-            if getattr(peer, "crashed", False):
-                continue
-            chain = getattr(peer, "chain", None)
-            if chain is None:
-                continue
-            if best is None or chain.total_difficulty() > best.total_difficulty():
-                best = chain
-        if best is None:
-            return False
-        for block in best.iter_canonical():
+        for block in peer.chain.iter_canonical():
             self._max_height_seen = max(self._max_height_seen, block.height)
             for record in block.records:
                 self._record_heights.setdefault(record.record_id, block.height)

@@ -7,6 +7,7 @@ the RNGs or the wall clock inside simulation logic.
 
 import random
 
+from repro.chain.block import GENESIS_PARENT, Block
 from repro.chain.pow import MiningModel, mine_block
 from repro.chain.retarget import RetargetingMiner
 from repro.contracts.contract import Contract, ContractError
@@ -72,14 +73,28 @@ class TestMining:
         assert telemetry.histogram("retarget.difficulty").count == 10
         assert telemetry.counter("retarget.blocks", winner="a").value == 10
 
-    def test_exhausted_search_counted(self):
-        from repro.experiments.bench_substrate import _bench_block
+    @staticmethod
+    def _unmined(difficulty):
+        miner = KeyPair.from_seed(b"instrumented-miner").address
+        return Block.assemble(GENESIS_PARENT, 1, (), 1.0, difficulty, miner)
 
+    def test_exhausted_search_counted(self):
         telemetry = Telemetry()
-        assert mine_block(_bench_block(), max_attempts=50,
+        assert mine_block(self._unmined(1 << 255), max_attempts=50,
                           telemetry=telemetry) is None
         assert telemetry.counter("pow.searches", outcome="exhausted").value == 1
         assert telemetry.counter("pow.nonce_attempts").value == 50
+
+    def test_found_search_counted(self):
+        telemetry = Telemetry()
+        mined = mine_block(self._unmined(64), max_attempts=100_000,
+                           telemetry=telemetry)
+        assert mined is not None
+        attempts = telemetry.counter("pow.nonce_attempts").value
+        assert attempts == mined.header.nonce + 1
+        assert telemetry.counter("pow.searches", outcome="found").value == 1
+        histogram = telemetry.histogram("pow.attempts_per_search")
+        assert histogram.count == 1 and histogram.max == attempts
 
 
 class _Bounty(Contract):
