@@ -11,14 +11,15 @@ truth, so tests can check that the public view converges to the truth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
-from repro.chain.block import RecordKind
 from repro.chain.chain import Blockchain
 from repro.core.reports import DetailedReport
-from repro.core.sra import SignedSRA
 from repro.detection.descriptions import VulnerabilityDescription, deduplicate
 from repro.detection.vulnerability import Severity
+
+if TYPE_CHECKING:
+    from repro.query.indices import ChainIndex, ReportEntry, SraEntry
 
 __all__ = ["SecurityReference", "ProviderTrackRecord", "ConsumerClient"]
 
@@ -69,22 +70,28 @@ class ProviderTrackRecord:
 
 
 class ConsumerClient:
-    """Reads the public chain to answer deploy-or-not questions."""
+    """Reads the public chain to answer deploy-or-not questions.
+
+    Every answer comes from one :class:`~repro.query.indices.ChainIndex`
+    over ``chain`` (:attr:`index`), which folds in only the blocks
+    confirmed since the previous call; the index is built on the first
+    query, so constructing a client costs nothing.
+    """
 
     def __init__(self, chain: Blockchain) -> None:
         self.chain = chain
+        self._index: Optional[ChainIndex] = None
 
-    def _confirmed_sras(self) -> List[SignedSRA]:
-        return [
-            SignedSRA.from_payload(record.payload)
-            for record in self.chain.confirmed_records(RecordKind.SRA)
-        ]
+    @property
+    def index(self) -> ChainIndex:
+        """The confirmed release view: SRAs joined to their reports."""
+        if self._index is None:
+            # Imported here: repro.query.indices imports repro.core.reports
+            # and repro.core.sra, so a module-level import is a cycle.
+            from repro.query.indices import ChainIndex
 
-    def _confirmed_detailed_reports(self) -> List[DetailedReport]:
-        return [
-            DetailedReport.from_payload(record.payload)
-            for record in self.chain.confirmed_records(RecordKind.DETAILED_REPORT)
-        ]
+            self._index = ChainIndex(self.chain)
+        return self._index
 
     def lookup(
         self, system_name: str, system_version: str
@@ -97,23 +104,17 @@ class ConsumerClient:
         for the same version, and its findings belong to the same
         reference.
         """
-        matching = [
-            candidate
-            for candidate in self._confirmed_sras()
-            if candidate.body.system_name == system_name
-            and candidate.body.system_version == system_version
-        ]
-        if not matching:
+        index = self.index
+        sras = index.sras(system=system_name, version=system_version)
+        if not sras:
             return None
-        sra_ids = {sra.sra_id for sra in matching}
         descriptions: List[VulnerabilityDescription] = []
-        for report in self._confirmed_detailed_reports():
-            if report.sra_id in sra_ids:
-                descriptions.extend(report.descriptions)
+        for report in _release_reports(index, sras):
+            descriptions.extend(_descriptions(index, report))
         return SecurityReference(
             system_name=system_name,
             system_version=system_version,
-            provider_id=matching[0].body.provider_id,
+            provider_id=sras[0].provider_id,
             sra_confirmed=True,
             vulnerabilities=tuple(deduplicate(descriptions)),
         )
@@ -132,22 +133,41 @@ class ConsumerClient:
         return reference.vulnerability_count <= max_vulnerabilities
 
     def provider_track_record(self, provider_id: str) -> ProviderTrackRecord:
-        """Accountability summary over all of a provider's releases."""
-        sras = [s for s in self._confirmed_sras() if s.body.provider_id == provider_id]
-        reports = self._confirmed_detailed_reports()
-        vulnerable = 0
-        total_flaws = 0
-        for sra in sras:
-            keys = set()
-            for report in reports:
-                if report.sra_id == sra.sra_id:
-                    keys.update(report.vulnerability_keys())
-            if keys:
-                vulnerable += 1
-                total_flaws += len(keys)
+        """Accountability summary over all of a provider's releases.
+
+        A release is a (name, version): a re-detection round's SRA
+        belongs to the release it reopens, as in :meth:`lookup`, and
+        counts its flaws once however many rounds confirmed them.
+        """
+        index = self.index
+        flaws: Dict[Tuple[str, str], Set[str]] = {}
+        for sra in index.sras(provider=provider_id):
+            keys = flaws.setdefault(sra.release_key, set())
+            for report in index.reports(sra_id=sra.sra_id):
+                keys.update(report.vulnerability_keys)
+        vulnerable = [keys for keys in flaws.values() if keys]
         return ProviderTrackRecord(
             provider_id=provider_id,
-            releases=len(sras),
-            vulnerable_releases=vulnerable,
-            total_confirmed_vulnerabilities=total_flaws,
+            releases=len(flaws),
+            vulnerable_releases=len(vulnerable),
+            total_confirmed_vulnerabilities=sum(map(len, vulnerable)),
         )
+
+
+def _release_reports(
+    index: ChainIndex, sras: List[SraEntry]
+) -> List[ReportEntry]:
+    """The confirmed reports filed against ``sras``, in chain order
+    (a re-detection round's reports interleave with the first round's)."""
+    return sorted(
+        (report for sra in sras for report in index.reports(sra_id=sra.sra_id)),
+        key=lambda report: report.location,
+    )
+
+
+def _descriptions(
+    index: ChainIndex, report: ReportEntry
+) -> Tuple[VulnerabilityDescription, ...]:
+    """Decode one indexed report's descriptions from its chain record."""
+    record = index.get_record(report.record_id)
+    return DetailedReport.from_payload(record.payload).descriptions

@@ -18,12 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
-from repro.chain.block import RecordKind
 from repro.chain.chain import Blockchain
 from repro.core.consumer import ConsumerClient
-from repro.core.sra import SignedSRA
 from repro.units import from_wei
 
 __all__ = ["ProviderReputation", "ReputationEngine"]
@@ -53,25 +51,23 @@ class ProviderReputation:
 
 
 class ReputationEngine:
-    """Computes provider reputations from public chain state."""
+    """Computes provider reputations from public chain state.
+
+    Reads through a :class:`ConsumerClient`, so every score comes from
+    the one confirmed release view its index keeps.
+    """
 
     def __init__(self, chain: Blockchain) -> None:
         self.chain = chain
         self._consumer = ConsumerClient(chain)
 
-    def _insurances_by_provider(self) -> Dict[str, List[int]]:
-        staked: Dict[str, List[int]] = {}
-        for record in self.chain.confirmed_records(RecordKind.SRA):
-            sra = SignedSRA.from_payload(record.payload)
-            staked.setdefault(sra.body.provider_id, []).append(
-                sra.body.insurance_wei
-            )
-        return staked
-
     def score_provider(self, provider_id: str) -> ProviderReputation:
         """Derive one provider's reputation from the chain."""
         track = self._consumer.provider_track_record(provider_id)
-        insurances = self._insurances_by_provider().get(provider_id, [])
+        insurances = [
+            sra.insurance_wei
+            for sra in self._consumer.index.sras(provider=provider_id)
+        ]
         mean_insurance = (
             from_wei(sum(insurances)) / len(insurances) if insurances else 0.0
         )
@@ -94,7 +90,7 @@ class ReputationEngine:
 
     def ranking(self) -> List[ProviderReputation]:
         """All providers with confirmed SRAs, best first."""
-        providers = sorted(self._insurances_by_provider())
+        providers = sorted({sra.provider_id for sra in self._consumer.index.sras()})
         reputations = [self.score_provider(provider) for provider in providers]
         reputations.sort(key=lambda reputation: reputation.score, reverse=True)
         return reputations

@@ -136,6 +136,8 @@ class ProviderStakeholder(ReplicaNode):
         self.rejected_messages = 0
         self.records_resubmitted = 0
         self.mempool_records_revalidated = 0
+        #: Answers CONSUMER_QUERY; rebound when a restart swaps the chain.
+        self._consumer = ConsumerClient(self.chain)
         self.on(MessageKind.SRA_ANNOUNCE, self._on_sra)
         self.on(MessageKind.INITIAL_REPORT, self._on_initial)
         self.on(MessageKind.DETAILED_REPORT, self._on_detailed)
@@ -211,7 +213,9 @@ class ProviderStakeholder(ReplicaNode):
 
     def _on_consumer_query(self, _node: Node, message: Message) -> None:
         name, version, reply_to = message.payload
-        reference = ConsumerClient(self.chain).lookup(name, version)
+        if self._consumer.chain is not self.chain:
+            self._consumer = ConsumerClient(self.chain)
+        reference = self._consumer.lookup(name, version)
         self.send(reply_to, MessageKind.CONSUMER_RESPONSE, reference)
 
     # -- mining ----------------------------------------------------------------

@@ -9,16 +9,18 @@ workload.  :class:`ChainIndex` maintains the answers *incrementally*:
 * canonical-path indices (height → block id, sender → record count,
   record id → location) advanced one block at a time as the head moves;
 * confirmed-report indices (reports by system / vendor / severity /
-  detector, SRAs by release) advanced at the confirmation boundary,
-  mirroring the retrospective-monitor cursor pattern — confirmed blocks
-  are stable under the 6-deep rule, so each refresh decodes only the
-  newly confirmed payloads.
+  detector, SRAs by release) advanced at the confirmation boundary —
+  confirmed blocks are stable under the 6-deep rule, so each refresh
+  decodes only the newly confirmed payloads.  This is the only cursor
+  over the confirmed release view: the consumer client, the reputation
+  engine and the retrospective monitor (:mod:`repro.core`) all read it.
 
 Both cursors carry a reorg guard: if the block a cursor last stopped at
 is no longer canonical, every derived structure is rebuilt from genesis
 (a correctness backstop, not a steady-state path; rebuilds are counted
 in ``query.rebuilds``).  The full-scan forms the indices replace stay
-alive as parity oracles in ``tests/query``.
+alive as parity oracles in ``tests/query`` and, for the consumer-side
+readers, ``tests/core/release_oracles.py``.
 
 :class:`EventIndex` is the runtime-side sibling: the contract event log
 is append-only (reverted calls never commit events), so by-name lookups

@@ -86,19 +86,10 @@ from repro.shard.frames import (
 from repro.shard.plan import ShardPlan, build_plan, derive_shard_seeds
 from repro.shard.spec import FleetSpec
 from repro.store import ChainStore, HeaderStore
-from repro.store.faultinject import (
-    drop_index_file,
-    drop_snapshots,
-    flip_bit,
-    tear_frame,
-)
+from repro.store.faultinject import STORE_FAULT_PARAMS, apply_store_fault
 from repro.telemetry import Telemetry
 
 __all__ = ["ShardGateway", "ShardState", "ShardedSimulator"]
-
-#: Disk-fault kinds :meth:`ShardedSimulator.inject_store_fault` accepts,
-#: mirroring :class:`repro.faults.plan.FaultKind`'s disk faults.
-_STORE_FAULTS = ("torn_write", "bit_flip", "drop_snapshot", "drop_index")
 
 #: Settle rounds before declaring the boundary traffic non-quiescent.
 #: Dedup guarantees each content item crosses each link at most once,
@@ -424,16 +415,7 @@ class ShardState:
         store = self.node(name).store
         if store is None:
             raise ValueError(f"{name!r} has no durable store attached")
-        if kind == "torn_write":
-            tear_frame(store, **params)
-        elif kind == "bit_flip":
-            flip_bit(store, **params)
-        elif kind == "drop_snapshot":
-            drop_snapshots(store, **params)
-        elif kind == "drop_index":
-            drop_index_file(store)
-        else:
-            raise ValueError(f"unknown store fault {kind!r} (use {_STORE_FAULTS})")
+        apply_store_fault(store, kind, **params)
 
     # -- reconciliation ----------------------------------------------------
 
@@ -952,8 +934,10 @@ class ShardedSimulator:
         """Corrupt a member's durable store (``torn_write``/``bit_flip``/
         ``drop_snapshot``/``drop_index``), as disk damage behind a dead
         process; the harm surfaces at the restart's store recovery."""
-        if kind not in _STORE_FAULTS:
-            raise ValueError(f"unknown store fault {kind!r} (use {_STORE_FAULTS})")
+        if kind not in STORE_FAULT_PARAMS:
+            raise ValueError(
+                f"unknown store fault {kind!r} (use {tuple(STORE_FAULT_PARAMS)})"
+            )
         self._on(name, "store_fault", kind, params)
 
     # -- convergence ---------------------------------------------------------

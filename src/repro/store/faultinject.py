@@ -6,9 +6,10 @@ stale snapshot directory — while the owning node is down.  They mark
 the store *stale* so any use before :meth:`reopen` is an error; the
 recovery scan on reopen is what detects and repairs the damage.
 
-Used by :class:`~repro.faults.injector.FaultInjector` for the
-TORN_WRITE / BIT_FLIP / DROP_SNAPSHOT fault kinds, and directly by
-tests.
+:func:`apply_store_fault` is the one kind→primitive dispatcher, used by
+:class:`~repro.faults.injector.FaultInjector` for the disk fault kinds
+of a chaos plan and by :class:`~repro.shard.ShardedSimulator`; tests
+also call the primitives directly.
 """
 
 from __future__ import annotations
@@ -16,7 +17,14 @@ from __future__ import annotations
 from repro.store.frames import FRAME_HEADER_BYTES, StoreError
 from repro.store.indexfile import INDEX_FILE_NAME
 
-__all__ = ["drop_index_file", "drop_snapshots", "flip_bit", "tear_frame"]
+__all__ = [
+    "STORE_FAULT_PARAMS",
+    "apply_store_fault",
+    "drop_index_file",
+    "drop_snapshots",
+    "flip_bit",
+    "tear_frame",
+]
 
 
 def _resolve_frame(store, frame_index: int) -> int:
@@ -108,3 +116,34 @@ def drop_index_file(store) -> bool:
     path.unlink(missing_ok=True)
     store.mark_stale()
     return existed
+
+
+_STORE_FAULTS = {
+    "torn_write": tear_frame,
+    "bit_flip": flip_bit,
+    "drop_snapshot": drop_snapshots,
+    "drop_index": drop_index_file,
+}
+
+#: Each disk-fault kind and the keywords its primitive takes, in the
+#: order a chaos plan's positional fault params fill them.
+STORE_FAULT_PARAMS = {
+    "torn_write": ("frame_index", "keep_bytes"),
+    "bit_flip": ("frame_index", "bit"),
+    "drop_snapshot": ("keep_oldest",),
+    "drop_index": (),
+}
+
+
+def apply_store_fault(store, kind: str, **params) -> None:
+    """Apply the disk fault named ``kind`` to ``store``.
+
+    ``params`` are the primitive's keywords (see
+    :data:`STORE_FAULT_PARAMS`); omitted ones take its defaults.
+    """
+    fault = _STORE_FAULTS.get(kind)
+    if fault is None:
+        raise ValueError(
+            f"unknown store fault {kind!r} (use {tuple(_STORE_FAULTS)})"
+        )
+    fault(store, **params)

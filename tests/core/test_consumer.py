@@ -7,9 +7,11 @@ import pytest
 from repro.chain.pow import PAPER_HASHPOWER_SHARES
 from repro.core.consumer import ConsumerClient
 from repro.core.platform import PlatformConfig, SmartCrowdPlatform
+from repro.core.reputation import ReputationEngine
 from repro.detection.detector import build_detector_fleet
 from repro.detection.iot_system import build_system
 from repro.detection.vulnerability import Severity
+from repro.units import to_wei
 
 
 @pytest.fixture(scope="module")
@@ -103,3 +105,33 @@ class TestTrackRecord:
         record = client.provider_track_record("provider-5")
         assert record.releases == 0
         assert record.vulnerable_fraction == 0.0
+
+    def test_redetected_release_counted_once(self):
+        # A reopened release publishes a second SRA for the same
+        # version; lookup folds it into one reference, and so must the
+        # track record (and the reputation derived from it).
+        platform = SmartCrowdPlatform(
+            PAPER_HASHPOWER_SHARES,
+            build_detector_fleet(seed=55),
+            PlatformConfig(seed=55, detection_window=600.0),
+        )
+        system = build_system("lock", "1.0.0", vulnerability_count=2, rng=random.Random(4))
+        sra = platform.announce_release("provider-3", system, insurance_wei=to_wei(1000))
+        platform.advance_for(900.0)
+        platform.finish_pending()
+        platform.reopen_release(sra.sra_id, insurance_wei=to_wei(1000))
+        platform.advance_for(900.0)
+        platform.finish_pending()
+        chain = platform.mining.chain
+        client = ConsumerClient(chain)
+        assert client.lookup("lock", "1.0.0").vulnerability_count == 2
+        record = client.provider_track_record("provider-3")
+        assert (
+            record.releases,
+            record.vulnerable_releases,
+            record.total_confirmed_vulnerabilities,
+        ) == (1, 1, 2)
+        reputation = ReputationEngine(chain).score_provider("provider-3")
+        assert (reputation.releases, reputation.total_confirmed_vulnerabilities) == (1, 2)
+        # The stake figure still averages over both SRAs.
+        assert reputation.mean_insurance_ether == 1000.0

@@ -14,6 +14,8 @@ from repro.core import (
 from repro.detection import DetectionCapability, Detector, build_detector_fleet, build_system
 from repro.units import to_wei
 
+from tests.core.release_oracles import FullScanMonitor
+
 
 def _platform(detectors, seed=51):
     return SmartCrowdPlatform(
@@ -160,41 +162,32 @@ class TestReDetectionRound:
 
 
 class TestIncrementalScanParity:
-    """The incremental chain scan must equal the full-rescan oracle."""
+    """Polling as the chain grows must equal a full rescan at each poll."""
 
-    def _sorted_flaws(self, flaws):
-        return {
-            release: sorted(
-                (description.canonical, detector_id)
-                for description, detector_id in entries
-            )
-            for release, entries in flaws.items()
-            if entries
-        }
-
-    def test_incremental_scan_matches_full_rescan_at_every_poll(self):
+    def test_polls_match_full_scan_monitor(self):
         platform = _platform(build_detector_fleet(seed=56), seed=56)
         monitor = RetrospectiveMonitor(platform.mining.chain)
-        monitor.register_deployment("erin", "hub-a", "1.0.0")
-        monitor.register_deployment("erin", "hub-b", "1.0.0")
+        oracle = FullScanMonitor(platform.mining.chain)
+        for watcher in (monitor, oracle):
+            watcher.register_deployment("erin", "hub-a", "1.0.0")
+            watcher.register_deployment("erin", "hub-b", "1.0.0")
         for index, name in enumerate(("hub-a", "hub-b", "hub-c")):
             system = build_system(
                 name, "1.0.0", vulnerability_count=2, rng=random.Random(60 + index)
             )
             platform.announce_release("provider-2", system, at_time=index * 400.0)
-        # Poll mid-run repeatedly so the scan advances in many small
-        # batches, then compare the cache against the oracle each time.
+        # Poll mid-run repeatedly so the index advances in many small
+        # batches, then compare each poll's alerts against the oracle.
+        sent = 0
         for _ in range(8):
             platform.advance_for(250.0)
-            monitor.poll()
-            assert self._sorted_flaws(monitor._flaws) == self._sorted_flaws(
-                monitor._confirmed_flaws_by_release()
-            )
+            polled = monitor.poll()
+            assert polled == oracle.poll()
+            sent += len(polled)
         platform.finish_pending()
-        monitor.poll()
-        assert self._sorted_flaws(monitor._flaws) == self._sorted_flaws(
-            monitor._confirmed_flaws_by_release()
-        )
+        polled = monitor.poll()
+        assert polled == oracle.poll()
+        assert sent + len(polled) == monitor.notifications_sent > 0
 
     def test_incremental_notifications_match_fresh_monitor(self):
         platform = _platform(build_detector_fleet(seed=57), seed=57)
@@ -215,28 +208,6 @@ class TestIncrementalScanParity:
         assert sorted(n.vulnerability_key for n in collected) == sorted(
             n.vulnerability_key for n in single
         )
-
-    def test_boundary_mismatch_triggers_full_rebuild(self):
-        platform = _platform(build_detector_fleet(seed=58), seed=58)
-        system = build_system("lock-y", "1.0.0", vulnerability_count=2, rng=random.Random(80))
-        platform.announce_release("provider-3", system)
-        platform.advance_for(900.0)
-        platform.finish_pending()
-        monitor = RetrospectiveMonitor(platform.mining.chain)
-        monitor.register_deployment("gus", "lock-y", "1.0.0")
-        first = monitor.poll()
-        # Simulate the scan boundary being rewritten (the reorg guard):
-        # the monitor must rebuild from genesis and reach the same state.
-        monitor._scanned_block_id = b"\xde\xad" * 16
-        before = self._sorted_flaws(monitor._flaws)
-        monitor.poll()
-        assert self._sorted_flaws(monitor._flaws) == before
-        assert self._sorted_flaws(monitor._flaws) == self._sorted_flaws(
-            monitor._confirmed_flaws_by_release()
-        )
-        # Dedup state survives the rebuild: nothing is re-notified.
-        assert first
-        assert monitor.poll() == []
 
 
 class TestExcludedKeysNotRepaid:

@@ -15,6 +15,7 @@ import pytest
 from repro.chain.block import ChainRecord, RecordKind
 from repro.chain.ledger import LedgerStateMachine
 from repro.chain.pow import PAPER_HASHPOWER_SHARES
+from repro.core.consumer import ConsumerClient
 from repro.core.stakeholders import DecentralizedDeployment
 from repro.crypto.hashing import hash_fields
 from repro.detection import build_detector_fleet, build_system
@@ -176,3 +177,46 @@ class TestDeploymentMempoolEquivalence:
         assert confirmed_chain_bytes(victim.chain) == confirmed_chain_bytes(
             volatile.providers[VICTIM].chain
         )
+
+
+class TestConsumerQueryAfterRestart:
+    def test_provider_answers_from_its_recovered_chain(self, tmp_path, exit_stack):
+        deployment = DecentralizedDeployment(
+            PAPER_HASHPOWER_SHARES,
+            build_detector_fleet(thread_counts=(5, 8), seed=3),
+            latency=ConstantLatency(0.05),
+            seed=3,
+            confirmation_depth=4,
+            spec=FleetSpec(
+                full_nodes=len(PAPER_HASHPOWER_SHARES),
+                store_dir=str(tmp_path / "stores"),
+                store_snapshot_interval=4,
+            ),
+        )
+        for provider in deployment.providers.values():
+            exit_stack.callback(provider.store.close)
+        victim = deployment.providers[VICTIM]
+        consumer = deployment.consumers["consumer-1"]
+        before = build_system("pre-crash", vulnerability_count=2, rng=random.Random(4))
+        after = build_system("post-crash", vulnerability_count=2, rng=random.Random(5))
+
+        def ask(system):
+            consumer.query(VICTIM, system.name, system.version)
+            deployment.simulator.advance()
+            return consumer.latest_reference
+
+        deployment.announce("provider-1", before)
+        deployment.advance_for(180.0)
+        assert ask(before) is not None
+        deployment.crash(VICTIM)
+        deployment.advance_for(120.0)
+        deployment.restart(VICTIM)
+        assert victim.store_recoveries == 1
+        deployment.announce("provider-2", after)
+        deployment.advance_for(300.0)
+
+        oracle = ConsumerClient(victim.chain)
+        for system in (before, after):
+            expected = oracle.lookup(system.name, system.version)
+            assert expected is not None  # confirmed on the recovered chain
+            assert ask(system) == expected

@@ -7,6 +7,7 @@ from repro.chain.consensus import make_genesis
 from repro.chain.ledger import LedgerStateMachine
 from repro.chain.serialization import encode_block
 from repro.store import ChainStore, StoreError, drop_snapshots, flip_bit, tear_frame
+from repro.store.faultinject import apply_store_fault
 from repro.telemetry import Telemetry
 
 from tests.store.conftest import build_chain, extend_chain
@@ -133,6 +134,14 @@ class TestCrashRecovery:
         # ensure_genesis re-seeds the emptied log.
         store.ensure_genesis(chain.genesis)
         assert len(store) == 1
+
+    def test_dispatcher_applies_the_named_fault(self, tmp_path, chain):
+        store = _filled_store(tmp_path, chain)
+        frames_before = len(store)
+        apply_store_fault(store, "bit_flip", frame_index=-3)
+        assert store.reopen().frames_kept == frames_before - 3
+        with pytest.raises(ValueError, match="unknown store fault"):
+            apply_store_fault(store, "set_on_fire")
 
     def test_recovery_counters_accumulate(self, tmp_path, chain):
         telemetry = Telemetry()
